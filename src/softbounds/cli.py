@@ -1,9 +1,9 @@
 """Command-line surface: propagate, solve, gen, verify, reify.
 
 Exit codes: 0 for a non-empty/feasible outcome, 1 for an empty or
-infeasible one, 2 for usage/parse errors, 3 for cap or budget refusals.
-Reports are deterministic for fixed inputs and seeds; wall-clock time is
-only included when --timing is passed so that default output stays
+infeasible one, 2 for usage, parse and file errors, 3 for cap or budget
+refusals. Reports are deterministic for fixed inputs and seeds; wall-clock
+time is only included when --timing is passed so that default output stays
 byte-identical across runs.
 """
 
@@ -15,7 +15,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from .core import CapError, ContractError, ParseError, SolverError
+from .core import CapError, SolverError
 from .fileformat import emit, parse_path
 from .generators import gen_random, gen_satellite, gen_spacerchain
 from .network import Instance
@@ -94,7 +94,6 @@ def _cmd_solve(args) -> int:
         var_order=args.var_order,
         seed=args.seed,
     )
-    mode = "values" if args.consistency in ("nc", "ac") else "interval"
     t0 = time.perf_counter()
     result = search_solve(inst, opts)
     wall_ms = int((time.perf_counter() - t0) * 1000)
@@ -274,16 +273,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
+    except (SolverError, OSError) as exc:
+        # Parse and contract errors, and unreadable or unwritable files.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

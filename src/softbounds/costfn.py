@@ -3,8 +3,9 @@
 Every binary kind other than a plain table carries enough structure to
 compute its minimum over a sub-box far below full enumeration:
 
-* equality-style functions (zero cost on exactly one partner value) need one
-  membership check per value of the first variable;
+* equality-style functions (zero cost on exactly one partner value) need the
+  first value of one variable whose partner lies in the box, found by
+  division;
 * inequality-style functions (a single penalised partner value) and tables
   that are semi-convex along one axis only need the two endpoint costs of
   that axis per value of the other variable;
@@ -12,6 +13,13 @@ compute its minimum over a sub-box far below full enumeration:
   the box;
 * the trapezoid gap function is minimised analytically on the interval of
   reachable gaps.
+
+Each kind carries its own `cost` (one tuple) and `box_min` (minimum raw cost
+over a box). `box_min` takes a tuple box, one (lo, hi) per scope position in
+scope order, trusts it to be non-empty and adds its raw lookups to the
+overlay's `eval_count`. The engines call it through `min_over_tuple_box`;
+the public `min_over_box` and `min_over_box_pinned` validate a box keyed by
+variable id, convert it and call the same code.
 
 Minimization works on *effective* costs raw(t) - delta_shift, where
 delta_shift records cost already moved to the network's constant term. The
@@ -22,8 +30,8 @@ stays within the cost scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .core import (
     Box,
@@ -37,6 +45,40 @@ from .core import (
 # Semi-convexity validation is quadratic in the interval width, so it is
 # refused (never silently skipped) above this many values per variable.
 VALIDATOR_CAP = 512
+
+# One (lo, hi) sub-interval per scope position, in scope order.
+TupleBox = Tuple[Tuple[int, int], ...]
+
+
+def _corners(box: TupleBox) -> Tuple[Tuple[int, int], ...]:
+    """The distinct corners of a binary box, low corner first."""
+    (ilo, ihi), (jlo, jhi) = box
+    if ilo == ihi:
+        return ((ilo, jlo),) if jlo == jhi else ((ilo, jlo), (ilo, jhi))
+    if jlo == jhi:
+        return ((ilo, jlo), (ihi, jlo))
+    return ((ilo, jlo), (ilo, jhi), (ihi, jlo), (ihi, jhi))
+
+
+def _probe_min(
+    cost, probes: Iterable[Tuple[int, int]], k: int, shift: int, ov: FunctionOverlay
+) -> int:
+    # Stops at the first probe whose cost is fully absorbed by the shift:
+    # nothing in the box can cost less than the shift.
+    best = None
+    for t in probes:
+        ov.eval_count += 1
+        c = cost(t, k)
+        if best is None or c < best:
+            best = c
+            if best <= shift:
+                break
+    return best
+
+
+def _corner_min(self, scope, box: TupleBox, k: int, shift: int, ov: FunctionOverlay) -> int:
+    # `box_min` of the kinds that are monotone along each axis.
+    return _probe_min(self.cost, _corners(box), k, shift, ov)
 
 
 @dataclass(frozen=True)
@@ -53,6 +95,66 @@ class ExtTable:
     table: Dict[Tuple[int, ...], int]
     semiconvex: Optional[Tuple[int, str]] = None  # (variable id, "asc"|"desc")
 
+    def cost(self, values: Tuple[int, ...], k: int) -> int:
+        return self.table.get(values, self.default)
+
+    def box_min(self, scope, box: TupleBox, k: int, shift: int, ov: FunctionOverlay) -> int:
+        if self.semiconvex is not None:
+            return self._semiconvex_min(scope, box, shift, ov)
+        # Iterate whichever of (box tuples, stored entries) is smaller; either
+        # way the number of lookups stays within the box volume. The sparse
+        # path is what keeps huge sparse unary tables affordable.
+        table, default = self.table, self.default
+        ranges = [range(lo, hi + 1) for lo, hi in box]
+        vol = 1
+        for r in ranges:
+            vol *= len(r)
+        if len(table) < vol:
+            if len(box) == 2:
+                ri, rj = ranges
+                inside = [c for (vi, vj), c in table.items() if vi in ri and vj in rj]
+            else:
+                inside = [
+                    c for values, c in table.items()
+                    if all(w in r for w, r in zip(values, ranges))
+                ]
+            ov.eval_count += len(inside)
+            best = min(inside) if inside else None
+            if len(inside) < vol:
+                ov.eval_count += 1  # the default cost is reachable inside the box
+                if best is None or default < best:
+                    best = default
+            return best
+        get = table.get
+        best = None
+        n = 0
+        for values in itertools.product(*ranges):
+            n += 1
+            c = get(values, default)
+            if best is None or c < best:
+                best = c
+                if best <= shift:
+                    break
+        ov.eval_count += n
+        return best
+
+    def _semiconvex_min(self, scope, box, shift, ov) -> int:
+        axis = 0 if self.semiconvex[0] == scope[0] else 1
+        plo, phi = box[1 - axis]
+        olo, ohi = box[axis]
+        endpoints = (olo,) if olo == ohi else (olo, ohi)
+        table, default = self.table, self.default
+        best = None
+        for p in range(plo, phi + 1):
+            for o in endpoints:
+                ov.eval_count += 1
+                c = table.get((o, p) if axis == 0 else (p, o), default)
+                if best is None or c < best:
+                    best = c
+                    if best <= shift:
+                        return best
+        return best
+
 
 @dataclass(frozen=True)
 class FunctionalEq:
@@ -61,6 +163,30 @@ class FunctionalEq:
     alpha: int
     p: int = 1
     q: int = 0
+
+    def cost(self, values: Tuple[int, int], k: int) -> int:
+        vi, vj = values
+        return 0 if vj == self.p * vi + self.q else self.alpha
+
+    def box_min(self, scope, box: TupleBox, k: int, shift: int, ov: FunctionOverlay) -> int:
+        # The minimum is 0 iff some v_i in the box has its partner
+        # p*v_i + q in [jlo, jhi]; those v_i form an interval found by
+        # division. Lookups are those of a scan of v_i from ilo that checks
+        # each partner and stops after reading the first supporting pair.
+        (ilo, ihi), (jlo, jhi) = box
+        p, q = self.p, self.q
+        if p > 0:
+            first, last = -((q - jlo) // p), (jhi - q) // p
+        elif p < 0:
+            first, last = -((q - jhi) // p), (jlo - q) // p
+        else:
+            first, last = (ilo, ihi) if jlo <= q <= jhi else (ihi + 1, ihi)
+        first = max(first, ilo)
+        if first <= min(last, ihi):
+            ov.eval_count += first - ilo + 2
+            return 0
+        ov.eval_count += ihi - ilo + 1
+        return self.alpha
 
 
 @dataclass(frozen=True)
@@ -71,6 +197,21 @@ class AntiFunctionalNeq:
     p: int = 1
     q: int = 0
 
+    def cost(self, values: Tuple[int, int], k: int) -> int:
+        vi, vj = values
+        return self.alpha if vj == self.p * vi + self.q else 0
+
+    def box_min(self, scope, box: TupleBox, k: int, shift: int, ov: FunctionOverlay) -> int:
+        # Penalised pairs form an affine graph, so the function is semi-convex
+        # along both axes and a degenerate side lets us probe just the two
+        # endpoints of the free side.
+        (ilo, ihi), (jlo, jhi) = box
+        if ilo == ihi or jlo == jhi:
+            probes = _corners(box)
+        else:
+            probes = ((vi, vj) for vi in range(ilo, ihi + 1) for vj in (jlo, jhi))
+        return _probe_min(self.cost, probes, k, shift, ov)
+
 
 @dataclass(frozen=True)
 class MonoLeq:
@@ -78,6 +219,12 @@ class MonoLeq:
 
     delta: int
     alpha: int
+
+    def cost(self, values: Tuple[int, int], k: int) -> int:
+        vi, vj = values
+        return 0 if vi + self.delta <= vj else self.alpha
+
+    box_min = _corner_min
 
 
 @dataclass(frozen=True)
@@ -87,6 +234,15 @@ class LinPlus:
     a: int
     b: int
     c: int
+
+    def cost(self, values: Tuple[int, int], k: int) -> int:
+        vi, vj = values
+        c = self.a * vi + self.b * vj + self.c
+        if c <= 0:
+            return 0
+        return c if c < k else k
+
+    box_min = _corner_min
 
 
 @dataclass(frozen=True)
@@ -102,6 +258,37 @@ class Spacer:
     d3: int
     d4: int
     slope: int
+
+    def _gap_cost(self, g: int, k: int) -> int:
+        if g < self.d1 or g > self.d4:
+            return k
+        if g < self.d2:
+            c = self.slope * (self.d2 - g)
+        elif g > self.d3:
+            c = self.slope * (g - self.d3)
+        else:
+            return 0
+        return c if c < k else k
+
+    def cost(self, values: Tuple[int, int], k: int) -> int:
+        vi, vj = values
+        return self._gap_cost(vj - vi, k)
+
+    def box_min(self, scope, box: TupleBox, k: int, shift: int, ov: FunctionOverlay) -> int:
+        # The cost depends on the gap alone and is non-increasing left of the
+        # zero plateau and non-decreasing right of it, so the minimum over the
+        # reachable gap interval is at a single analytically chosen gap.
+        (ilo, ihi), (jlo, jhi) = box
+        g_lo = jlo - ihi
+        g_hi = jhi - ilo
+        if g_hi < self.d2:
+            g = g_hi
+        elif g_lo > self.d3:
+            g = g_lo
+        else:
+            g = max(g_lo, self.d2)
+        ov.eval_count += 1
+        return self._gap_cost(g, k)
 
 
 Kind = Union[ExtTable, FunctionalEq, AntiFunctionalNeq, MonoLeq, LinPlus, Spacer]
@@ -130,46 +317,9 @@ class FunctionOverlay:
     eval_count: int = 0
 
 
-class _Counter:
-    __slots__ = ("overlay",)
-
-    def __init__(self, overlay: Optional[FunctionOverlay]):
-        self.overlay = overlay
-
-    def bump(self, n: int = 1) -> None:
-        if self.overlay is not None:
-            self.overlay.eval_count += n
-
-
 def raw_cost(fn: CostFunction, values: Tuple[int, ...], val: ValuationStructure) -> int:
     """Cost of one tuple before any shift, clamped to [0, k]."""
-    kind = fn.kind
-    if isinstance(kind, ExtTable):
-        return kind.table.get(values, kind.default)
-    vi, vj = values
-    if isinstance(kind, FunctionalEq):
-        return 0 if vj == kind.p * vi + kind.q else kind.alpha
-    if isinstance(kind, AntiFunctionalNeq):
-        return kind.alpha if vj == kind.p * vi + kind.q else 0
-    if isinstance(kind, MonoLeq):
-        return 0 if vi + kind.delta <= vj else kind.alpha
-    if isinstance(kind, LinPlus):
-        c = kind.a * vi + kind.b * vj + kind.c
-        if c <= 0:
-            return 0
-        return c if c < val.k else val.k
-    if isinstance(kind, Spacer):
-        g = vj - vi
-        if g < kind.d1 or g > kind.d4:
-            return val.k
-        if g < kind.d2:
-            c = kind.slope * (kind.d2 - g)
-        elif g > kind.d3:
-            c = kind.slope * (g - kind.d3)
-        else:
-            return 0
-        return c if c < val.k else val.k
-    raise ContractError(f"unknown cost kind {type(kind).__name__}")
+    return fn.kind.cost(values, val.k)
 
 
 def evaluate(
@@ -191,13 +341,30 @@ def evaluate(
     return raw
 
 
-def _check_box(fn: CostFunction, box: Box) -> None:
+def min_over_tuple_box(fn: CostFunction, box: TupleBox, k: int, ov: FunctionOverlay) -> int:
+    """Minimum effective cost over a tuple box: the engines' entry point.
+
+    Nothing is validated: `box` must hold one non-empty (lo, hi) per scope
+    position, in scope order. The shift must not exceed the raw minimum and
+    must stay below k (the precondition of `ominus`); a violation raises.
+    """
+    shift = ov.delta_shift
+    raw_min = fn.kind.box_min(fn.scope, box, k, shift, ov)
+    if not shift:
+        return raw_min
+    if shift > raw_min or shift >= k:
+        raise ContractError(f"shift {shift} above the box minimum {raw_min} (k={k})")
+    return k if raw_min == k else raw_min - shift
+
+
+def _tuple_box(fn: CostFunction, box: Box) -> TupleBox:
     if len(box) != len(fn.scope) or any(v not in box for v in fn.scope):
         raise ContractError(f"box {dict(box)} does not cover scope {fn.scope}")
     for v in fn.scope:
         lo, hi = box[v]
         if lo > hi:
             raise ContractError(f"empty sub-interval for variable {v}")
+    return tuple(box[v] for v in fn.scope)
 
 
 def min_over_box(
@@ -208,33 +375,14 @@ def min_over_box(
 ) -> int:
     """Minimum effective cost over all tuples in the box.
 
-    Dispatches on the kind so that the number of raw lookups stays within
-    the per-kind cap (4 for corner kinds, 2*d for endpoint kinds, d+1 for
-    the equality kind, and the box volume for plain tables).
+    Validates the box (it must cover exactly the scope with non-empty
+    intervals) and calls the kind's own minimizer, the same code the engines
+    reach through `min_over_tuple_box`. The number of raw lookups stays
+    within the per-kind cap (4 for corner kinds, 2*d for endpoint kinds,
+    d+1 for the equality kind, and the box volume for plain tables).
     """
-    _check_box(fn, box)
-    shift = overlay.delta_shift if overlay is not None else 0
-    counter = _Counter(overlay)
-    kind = fn.kind
-
-    if isinstance(kind, (MonoLeq, LinPlus)):
-        raw_min = _corner_min(fn, box, val, counter, shift)
-    elif isinstance(kind, Spacer):
-        raw_min = _spacer_min(fn, box, val, counter)
-    elif isinstance(kind, FunctionalEq):
-        raw_min = _functional_min(fn, box, counter)
-    elif isinstance(kind, AntiFunctionalNeq):
-        raw_min = _antifunctional_min(fn, box, val, counter, shift)
-    elif isinstance(kind, ExtTable) and kind.semiconvex is not None:
-        raw_min = _semiconvex_min(fn, box, val, counter, shift)
-    elif isinstance(kind, ExtTable):
-        raw_min = _table_min(fn, box, val, counter, shift)
-    else:
-        raise ContractError(f"unknown cost kind {type(kind).__name__}")
-
-    if shift:
-        return ominus(raw_min, shift, val)
-    return raw_min
+    ov = overlay if overlay is not None else FunctionOverlay()
+    return min_over_tuple_box(fn, _tuple_box(fn, box), val.k, ov)
 
 
 def min_over_box_pinned(
@@ -248,155 +396,14 @@ def min_over_box_pinned(
     """min_over_box with one variable's sub-interval collapsed to a point."""
     if pin_var not in fn.scope:
         raise ContractError(f"pin variable {pin_var} not in scope {fn.scope}")
-    _check_box(fn, box)
+    tbox = _tuple_box(fn, box)
     lo, hi = box[pin_var]
     if not lo <= pin_val <= hi:
         raise ContractError(f"pin value {pin_val} outside [{lo}, {hi}]")
-    pinned = dict(box)
-    pinned[pin_var] = (pin_val, pin_val)
-    return min_over_box(fn, pinned, val, overlay)
-
-
-def _corner_min(fn, box, val, counter, shift) -> int:
-    xi, xj = fn.scope
-    ilo, ihi = box[xi]
-    jlo, jhi = box[xj]
-    corners = dict.fromkeys(
-        [(ilo, jlo), (ilo, jhi), (ihi, jlo), (ihi, jhi)]
-    )
-    best = None
-    for t in corners:
-        counter.bump()
-        c = raw_cost(fn, t, val)
-        if best is None or c < best:
-            best = c
-            if best <= shift:
-                break
-    return best
-
-
-def _spacer_min(fn, box, val, counter) -> int:
-    # The cost depends on the gap alone and is non-increasing left of the
-    # zero plateau and non-decreasing right of it, so the minimum over the
-    # reachable gap interval is at a single analytically chosen gap.
-    kind = fn.kind
-    xi, xj = fn.scope
-    ilo, ihi = box[xi]
-    jlo, jhi = box[xj]
-    g_lo = jlo - ihi
-    g_hi = jhi - ilo
-    if g_hi < kind.d2:
-        g = g_hi
-    elif g_lo > kind.d3:
-        g = g_lo
-    else:
-        g = max(g_lo, kind.d2)
-    vi = max(ilo, jlo - g)
-    counter.bump()
-    return raw_cost(fn, (vi, vi + g), val)
-
-
-def _functional_min(fn, box, counter) -> int:
-    kind = fn.kind
-    xi, xj = fn.scope
-    ilo, ihi = box[xi]
-    jlo, jhi = box[xj]
-    for vi in range(ilo, ihi + 1):
-        counter.bump()  # membership check of the support value
-        support = kind.p * vi + kind.q
-        if jlo <= support <= jhi:
-            counter.bump()  # read the supporting pair
-            return 0
-    return kind.alpha
-
-
-def _antifunctional_min(fn, box, val, counter, shift) -> int:
-    # Penalised pairs form an affine graph, so the function is semi-convex
-    # along both axes and a degenerate side lets us probe just the two
-    # endpoints of the free side.
-    xi, xj = fn.scope
-    ilo, ihi = box[xi]
-    jlo, jhi = box[xj]
-    if ilo == ihi:
-        probes = dict.fromkeys([(ilo, jlo), (ilo, jhi)])
-    elif jlo == jhi:
-        probes = dict.fromkeys([(ilo, jlo), (ihi, jlo)])
-    else:
-        probes = None
-    if probes is not None:
-        best = None
-        for t in probes:
-            counter.bump()
-            c = raw_cost(fn, t, val)
-            if best is None or c < best:
-                best = c
-                if best <= shift:
-                    break
-        return best
-    best = None
-    for vi in range(ilo, ihi + 1):
-        for vj in (jlo, jhi):
-            counter.bump()
-            c = raw_cost(fn, (vi, vj), val)
-            if best is None or c < best:
-                best = c
-                if best <= shift:
-                    return best
-    return best
-
-
-def _semiconvex_min(fn, box, val, counter, shift) -> int:
-    ord_var, _direction = fn.kind.semiconvex
-    xi, xj = fn.scope
-    partner = xj if ord_var == xi else xi
-    plo, phi = box[partner]
-    olo, ohi = box[ord_var]
-    endpoints = (olo,) if olo == ohi else (olo, ohi)
-    best = None
-    for p in range(plo, phi + 1):
-        for o in endpoints:
-            values = (p, o) if partner == xi else (o, p)
-            counter.bump()
-            c = raw_cost(fn, values, val)
-            if best is None or c < best:
-                best = c
-                if best <= shift:
-                    return best
-    return best
-
-
-def _table_min(fn, box, val, counter, shift) -> int:
-    # Iterate whichever of (box tuples, stored entries) is smaller; either
-    # way the number of lookups stays within the box volume. The sparse
-    # path is what keeps huge sparse unary tables affordable.
-    kind = fn.kind
-    ranges = [box[v] for v in fn.scope]
-    vol = 1
-    for lo, hi in ranges:
-        vol *= hi - lo + 1
-    if len(kind.table) < vol:
-        best = None
-        in_box = 0
-        for values, c in kind.table.items():
-            if all(lo <= w <= hi for w, (lo, hi) in zip(values, ranges)):
-                in_box += 1
-                counter.bump()
-                if best is None or c < best:
-                    best = c
-        if in_box < vol:
-            counter.bump()  # the default cost is reachable inside the box
-            if best is None or kind.default < best:
-                best = kind.default
-        return best
-    best = None
-    for values in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
-        counter.bump()
-        c = kind.table.get(values, kind.default)
-        if best is None or c < best:
-            best = c
-            if best <= shift:
-                break
-    return best
+    pos = fn.scope.index(pin_var)
+    tbox = tbox[:pos] + ((pin_val, pin_val),) + tbox[pos + 1:]
+    ov = overlay if overlay is not None else FunctionOverlay()
+    return min_over_tuple_box(fn, tbox, val.k, ov)
 
 
 SemiconvexWitness = Tuple[int, int, int]  # (partner value, beta, gap value)
@@ -573,6 +580,8 @@ def check_function(fn: CostFunction, bounds: Box, val: ValuationStructure) -> No
             )
         if kind.slope < 1:
             raise ContractError(f"spacer slope must be positive, got {kind.slope}")
+    else:
+        raise ContractError(f"unknown cost kind {type(kind).__name__}")
 
 
 def _check_linplus_semiconvex(fn, bounds, val) -> None:

@@ -2,26 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Mapping
 
 from .core import (
     ContractError,
-    Domain,
     ValuationStructure,
     Variable,
     check_cost,
     oplus,
 )
 from .costfn import CostFunction, check_function, evaluate
-
-
-@dataclass(frozen=True)
-class InstanceStats:
-    n: int
-    e: int
-    d_max: int
-    r_max: int
 
 
 @dataclass
@@ -55,19 +46,6 @@ class Instance:
                 if not 0 <= v < len(self.variables):
                     raise ContractError(f"scope {fn.scope} references unknown variable {v}")
             check_function(fn, bounds, self.valuation)
-
-    @property
-    def stats(self) -> InstanceStats:
-        # Recomputed on demand so it can never go stale.
-        return InstanceStats(
-            n=len(self.variables),
-            e=len(self.functions),
-            d_max=max((v.domain.size() for v in self.variables), default=0),
-            r_max=max((fn.arity for fn in self.functions), default=0),
-        )
-
-    def original_bounds(self) -> dict:
-        return {v.id: (v.domain.lb, v.domain.ub) for v in self.variables}
 
 
 def total_cost(inst: Instance, t: Mapping[int, int]) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -35,7 +35,11 @@ from .core import (
     ContractError,
     Domain,
 )
-from .costfn import FunctionOverlay, min_over_box, min_over_box_pinned, raw_cost
+from .costfn import FunctionOverlay, min_over_tuple_box, raw_cost
+
+# The engines call `min_over_tuple_box`. The dict-box API stays importable
+# from this module because perfbench/tracer.py wraps it under these names.
+from .costfn import min_over_box, min_over_box_pinned  # noqa: F401
 from .network import Instance
 
 # Value mode allocates per-value arrays, so it is refused on wide domains.
@@ -311,10 +315,6 @@ class PropState:
     def any_empty(self) -> bool:
         return any(d.is_empty for d in self.domains)
 
-    def box_of(self, fi: int) -> Dict[int, Tuple[int, int]]:
-        fn = self.instance.functions[fi]
-        return {v: (self.domains[v].lb, self.domains[v].ub) for v in fn.scope}
-
     def fingerprint(self) -> tuple:
         doms = tuple(
             (d.lb, d.ub, tuple(sorted(d.removed)) if d.removed else ())
@@ -392,8 +392,21 @@ class PropState:
 
 def _pinned(st: PropState, fi: int, xi: int, value: int) -> int:
     fn = st.instance.functions[fi]
-    box = {v: (st.domains[v].lb, st.domains[v].ub) for v in fn.scope}
-    return min_over_box_pinned(fn, box, xi, value, st.val, st.overlays[fi])
+    doms = st.domains
+    scope = fn.scope
+    if len(scope) == 2:  # the common case, built without a generator
+        a, b = scope
+        if a == xi:
+            d = doms[b]
+            box = ((value, value), (d.lb, d.ub))
+        else:
+            d = doms[a]
+            box = ((d.lb, d.ub), (value, value))
+    else:
+        box = tuple(
+            (value, value) if v == xi else (doms[v].lb, doms[v].ub) for v in scope
+        )
+    return min_over_tuple_box(fn, box, st.val.k, st.overlays[fi])
 
 
 def _delete_inf(st: PropState, xi: int) -> None:
@@ -458,8 +471,9 @@ def project_to_zero(st: PropState, fi: int) -> bool:
     untouched; afterwards the function has a zero-effective-cost tuple.
     """
     fn = st.instance.functions[fi]
-    box = {v: (st.domains[v].lb, st.domains[v].ub) for v in fn.scope}
-    alpha = min_over_box(fn, box, st.val, st.overlays[fi])
+    doms = st.domains
+    box = tuple((doms[v].lb, doms[v].ub) for v in fn.scope)
+    alpha = min_over_tuple_box(fn, box, st.val.k, st.overlays[fi])
     if alpha == 0:
         return False
     st.stats.projections += 1

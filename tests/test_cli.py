@@ -68,6 +68,14 @@ class TestPropagate:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    def test_missing_file_exit_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.wcsp"
+        assert main(["propagate", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "missing.wcsp" in captured.err
+
     def test_value_mode_cap_exit_3(self, capsys, tmp_path):
         path = tmp_path / "wide.wcsp"
         path.write_text(emit(gen_spacerchain(m=3, L=10**6, seed=1)))

@@ -53,15 +53,6 @@ def test_value_outside_interval_rejected(inst_pair_tables):
         total_cost(inst_pair_tables, {0: 9, 1: 0, 2: 0})
 
 
-def test_stats_recomputed():
-    inst = suite_instance(3)
-    s = inst.stats
-    assert s.n == len(inst.variables)
-    assert s.e == len(inst.functions)
-    assert s.d_max == max(v.domain.size() for v in inst.variables)
-    assert s.r_max == max(fn.arity for fn in inst.functions)
-
-
 def test_instance_validation():
     val = ValuationStructure(4)
     with pytest.raises(ContractError):  # sparse ids
@@ -88,4 +79,11 @@ def test_instance_validation():
             val,
             [Variable(0, Domain(0, 1))],
             [CostFunction(scope=(0,), kind=ExtTable(default=0, table={(0,): 9}))],
+        )
+    with pytest.raises(ContractError):  # not one of the cost kinds
+        Instance(
+            "bad",
+            val,
+            [Variable(0, Domain(0, 1)), Variable(1, Domain(0, 1))],
+            [CostFunction(scope=(0, 1), kind=object())],
         )
