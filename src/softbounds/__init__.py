@@ -40,17 +40,19 @@ from .oracle import (
 )
 from .propagation import (
     AC_VALUE_CAP,
+    INF,
+    SUP,
     ConsistencyReport,
     PropState,
     enforce_ac_star,
     enforce_bac,
     enforce_bac_zero,
     enforce_nc,
+    narrow,
     project_binary,
     project_to_zero,
     project_unary,
-    prune_inf,
-    prune_sup,
+    prune,
 )
 from .reify import CrispNetwork, compare_strength, enforce_crisp_bc, reify
 from .search import SearchOptions, SearchResult, solve

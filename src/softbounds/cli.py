@@ -92,7 +92,6 @@ def _cmd_solve(args) -> int:
         time_limit=args.time_limit,
         branching=args.branching,
         var_order=args.var_order,
-        seed=args.seed,
     )
     t0 = time.perf_counter()
     result = search_solve(inst, opts)
@@ -112,8 +111,6 @@ def _cmd_solve(args) -> int:
     out["backtracks"] = result.backtracks
     if args.timing:
         out["wall_ms"] = wall_ms
-    if args.seed is not None:
-        out["seed"] = args.seed
     _print_report(out, args.json)
     return 1 if result.best_cost is None else 0
 
@@ -232,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--branching", choices=("dichotomic", "enumerate"), default="dichotomic")
     p.add_argument("--var-order", choices=("min_domain", "lex"), default="min_domain")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_solve)

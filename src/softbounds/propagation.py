@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from operator import setitem
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -44,6 +45,17 @@ from .network import Instance
 
 # Value mode allocates per-value arrays, so it is refused on wide domains.
 AC_VALUE_CAP = 65536
+
+# The two bounds of a domain, as the `side` argument of `prune`; code that
+# picks a bound by side tests `if side` for SUP.
+INF, SUP = 0, 1
+
+
+def _set_member(items: set, v: int, member: bool) -> None:
+    if member:
+        items.add(v)
+    else:
+        items.discard(v)
 
 
 @dataclass
@@ -69,7 +81,10 @@ class PropState:
 
     With `record_trail=True` every mutation is journalled so search can
     restore the state bit-exactly; retained entries are proportional to the
-    number of changes.
+    number of changes. Every trail entry has one shape, `(write, target,
+    key, old)`, and `undo_to` pops entries and calls `write(target, key,
+    old)`: `setitem` for a list cell, `setattr` for an attribute (a bound,
+    `w_zero`, a shift) and `_set_member` for an interior removal.
     """
 
     def __init__(
@@ -100,6 +115,8 @@ class PropState:
         self.w_sup = [0] * n
         self.delta_inf: List[List[int]] = [[0] * len(fis) for fis in self.incident]
         self.delta_sup: List[List[int]] = [[0] * len(fis) for fis in self.incident]
+        # The bound caches of each side, indexed by INF and SUP.
+        self._caches = ((self.w_inf, self.delta_inf), (self.w_sup, self.delta_sup))
         self.overlays = [FunctionOverlay() for _ in inst.functions]
         self.queue: deque = deque()
         self.in_queue = [False] * n
@@ -159,97 +176,35 @@ class PropState:
         if self.mode != "values":
             raise ContractError("this operation runs on value-mode state")
 
-    # -- trailed primitive mutations --------------------------------------
+    # -- trailed writes ------------------------------------------------------
 
-    def _set_lb(self, xi: int, new: int) -> None:
-        d = self.domains[xi]
-        if d.lb == new:
-            return
-        if self.trail is not None:
-            self.trail.append(("lb", xi, d.lb))
-        d.lb = new
+    def _set_cell(self, row: list, i: int, new: int) -> None:
+        old = row[i]
+        if old != new:
+            if self.trail is not None:
+                self.trail.append((setitem, row, i, old))
+            row[i] = new
 
-    def _set_ub(self, xi: int, new: int) -> None:
-        d = self.domains[xi]
-        if d.ub == new:
-            return
-        if self.trail is not None:
-            self.trail.append(("ub", xi, d.ub))
-        d.ub = new
+    def _set_attr(self, obj, name: str, new: int) -> None:
+        old = getattr(obj, name)
+        if old != new:
+            if self.trail is not None:
+                self.trail.append((setattr, obj, name, old))
+            setattr(obj, name, new)
 
     def _rm_add(self, xi: int, v: int) -> None:
-        d = self.domains[xi]
-        if len(d.removed) >= REMOVED_CAP:
+        removed = self.domains[xi].removed
+        if len(removed) >= REMOVED_CAP:
             raise CapError(f"interior removals capped at {REMOVED_CAP}")
-        d.removed.add(v)
+        removed.add(v)
         if self.trail is not None:
-            self.trail.append(("rm+", xi, v))
+            self.trail.append((_set_member, removed, v, False))
 
     def _rm_discard(self, xi: int, v: int) -> None:
-        self.domains[xi].removed.discard(v)
+        removed = self.domains[xi].removed
+        removed.discard(v)
         if self.trail is not None:
-            self.trail.append(("rm-", xi, v))
-
-    def _set_w_zero(self, new: int) -> None:
-        if new == self.w_zero:
-            return
-        if self.trail is not None:
-            self.trail.append(("w0", self.w_zero))
-        self.w_zero = new
-
-    def _set_w_inf(self, xi: int, new: int) -> None:
-        if new == self.w_inf[xi]:
-            return
-        if self.trail is not None:
-            self.trail.append(("wi", xi, self.w_inf[xi]))
-        self.w_inf[xi] = new
-
-    def _set_w_sup(self, xi: int, new: int) -> None:
-        if new == self.w_sup[xi]:
-            return
-        if self.trail is not None:
-            self.trail.append(("ws", xi, self.w_sup[xi]))
-        self.w_sup[xi] = new
-
-    def _set_delta_inf(self, xi: int, pos: int, new: int) -> None:
-        row = self.delta_inf[xi]
-        if row[pos] == new:
-            return
-        if self.trail is not None:
-            self.trail.append(("di", xi, pos, row[pos]))
-        row[pos] = new
-
-    def _set_delta_sup(self, xi: int, pos: int, new: int) -> None:
-        row = self.delta_sup[xi]
-        if row[pos] == new:
-            return
-        if self.trail is not None:
-            self.trail.append(("ds", xi, pos, row[pos]))
-        row[pos] = new
-
-    def _set_shift(self, fi: int, new: int) -> None:
-        ov = self.overlays[fi]
-        if ov.delta_shift == new:
-            return
-        if self.trail is not None:
-            self.trail.append(("sh", fi, ov.delta_shift))
-        ov.delta_shift = new
-
-    def _set_unary(self, xi: int, idx: int, new: int) -> None:
-        arr = self.unary[xi]
-        if arr[idx] == new:
-            return
-        if self.trail is not None:
-            self.trail.append(("un", xi, idx, arr[idx]))
-        arr[idx] = new
-
-    def _set_pair_proj(self, fi: int, side: int, idx: int, new: int) -> None:
-        arr = self.pair_proj[fi][side]
-        if arr[idx] == new:
-            return
-        if self.trail is not None:
-            self.trail.append(("pp", fi, side, idx, arr[idx]))
-        arr[idx] = new
+            self.trail.append((_set_member, removed, v, True))
 
     def mark(self) -> int:
         if self.trail is None:
@@ -259,34 +214,8 @@ class PropState:
     def undo_to(self, mark: int) -> None:
         trail = self.trail
         while len(trail) > mark:
-            entry = trail.pop()
-            tag = entry[0]
-            if tag == "lb":
-                self.domains[entry[1]].lb = entry[2]
-            elif tag == "ub":
-                self.domains[entry[1]].ub = entry[2]
-            elif tag == "wi":
-                self.w_inf[entry[1]] = entry[2]
-            elif tag == "ws":
-                self.w_sup[entry[1]] = entry[2]
-            elif tag == "di":
-                self.delta_inf[entry[1]][entry[2]] = entry[3]
-            elif tag == "ds":
-                self.delta_sup[entry[1]][entry[2]] = entry[3]
-            elif tag == "w0":
-                self.w_zero = entry[1]
-            elif tag == "sh":
-                self.overlays[entry[1]].delta_shift = entry[2]
-            elif tag == "un":
-                self.unary[entry[1]][entry[2]] = entry[3]
-            elif tag == "pp":
-                self.pair_proj[entry[1]][entry[2]][entry[3]] = entry[4]
-            elif tag == "rm+":
-                self.domains[entry[1]].removed.discard(entry[2])
-            elif tag == "rm-":
-                self.domains[entry[1]].removed.add(entry[2])
-            else:
-                raise ContractError(f"corrupt trail entry {entry!r}")
+            write, target, key, old = trail.pop()
+            write(target, key, old)
 
     # -- queue -------------------------------------------------------------
 
@@ -409,59 +338,78 @@ def _pinned(st: PropState, fi: int, xi: int, value: int) -> int:
     return min_over_tuple_box(fn, box, st.val.k, st.overlays[fi])
 
 
-def _delete_inf(st: PropState, xi: int) -> None:
+def _slide(st: PropState, xi: int, side: int, new: int) -> None:
+    """Move the bound of xi on `side` to `new`, then on inward past interior
+    removals, which the bound absorbs."""
     d = st.domains[xi]
-    st._trace(event="delete", var=xi, bound="inf", value=d.lb, amount=1)
-    st.stats.deletions += 1
-    new = d.lb + 1
     if d.removed:
-        while new <= d.ub and new in d.removed:
+        step = -1 if side else 1
+        while d.lb <= new <= d.ub and new in d.removed:
             st._rm_discard(xi, new)
-            new += 1
-    st._set_lb(xi, new)
+            new += step
+    st._set_attr(d, "ub" if side else "lb", new)
 
 
-def _delete_sup(st: PropState, xi: int) -> None:
-    d = st.domains[xi]
-    st._trace(event="delete", var=xi, bound="sup", value=d.ub, amount=1)
-    st.stats.deletions += 1
-    new = d.ub - 1
-    if d.removed:
-        while new >= d.lb and new in d.removed:
-            st._rm_discard(xi, new)
-            new -= 1
-    st._set_ub(xi, new)
+def _zero_caches(st: PropState, xi: int, side: int) -> None:
+    w, delta = st._caches[side]
+    st._set_cell(w, xi, 0)
+    row = delta[xi]
+    for pos in range(len(row)):
+        st._set_cell(row, pos, 0)
 
 
-def prune_inf(st: PropState, xi: int) -> bool:
-    """Delete the lower bound if its combined pinned cost reaches the top.
+def prune(st: PropState, xi: int, side: int) -> bool:
+    """Delete the bound of xi on `side` (INF or SUP) if its combined pinned
+    cost reaches the top.
 
-    Resets the variable's inf-side caches, which are recomputed when it is
-    popped again.
+    Resets the variable's caches on that side, which are recomputed when it
+    is popped again.
     """
-    if st.domains[xi].is_empty:
+    d = st.domains[xi]
+    if d.is_empty:
         return False
-    if st.w_zero + st.w_inf[xi] >= st.k:
-        _delete_inf(st, xi)
-        st._set_w_inf(xi, 0)
-        row = st.delta_inf[xi]
-        for pos in range(len(row)):
-            st._set_delta_inf(xi, pos, 0)
-        return True
+    w = st._caches[side][0]
+    if st.w_zero + w[xi] < st.k:
+        return False
+    v = d.ub if side else d.lb
+    st._trace(event="delete", var=xi, bound="sup" if side else "inf", value=v, amount=1)
+    st.stats.deletions += 1
+    _slide(st, xi, side, v - 1 if side else v + 1)
+    _zero_caches(st, xi, side)
+    return True
+
+
+def _prune_all(st: PropState) -> bool:
+    """Prune both bounds of every variable, queueing those that moved;
+    returns True on wipeout."""
+    for xi in range(len(st.domains)):
+        for side in (INF, SUP):
+            if prune(st, xi, side):
+                st._push(xi)
+                if st.domains[xi].is_empty:
+                    st._clear_queue()
+                    return True
     return False
 
 
-def prune_sup(st: PropState, xi: int) -> bool:
-    if st.domains[xi].is_empty:
-        return False
-    if st.w_zero + st.w_sup[xi] >= st.k:
-        _delete_sup(st, xi)
-        st._set_w_sup(xi, 0)
-        row = st.delta_sup[xi]
-        for pos in range(len(row)):
-            st._set_delta_sup(xi, pos, 0)
-        return True
-    return False
+def narrow(st: PropState, xi: int, lo: int, hi: int) -> None:
+    """Intersect the domain of xi with [lo, hi], as a search branch does.
+
+    In interval mode the variable's own bound caches refer to the old bounds
+    and would be unsound to prune with; they are zeroed, and resuming with xi
+    touched recomputes them.
+    """
+    d = st.domains[xi]
+    lo = max(d.lb, lo)
+    hi = min(d.ub, hi)
+    if d.removed:
+        for v in [w for w in d.removed if w < lo or w > hi]:
+            st._rm_discard(xi, v)
+    _slide(st, xi, INF, lo)
+    _slide(st, xi, SUP, hi)
+    if st.mode == "interval":
+        _zero_caches(st, xi, INF)
+        _zero_caches(st, xi, SUP)
 
 
 def project_to_zero(st: PropState, fi: int) -> bool:
@@ -478,15 +426,15 @@ def project_to_zero(st: PropState, fi: int) -> bool:
         return False
     st.stats.projections += 1
     st._trace(event="project", fn=fi, amount=alpha)
-    st._set_w_zero(min(st.k, st.w_zero + alpha))
-    st._set_shift(fi, min(st.val.k, st.overlays[fi].delta_shift + alpha))
+    ov = st.overlays[fi]
+    st._set_attr(st, "w_zero", min(st.k, st.w_zero + alpha))
+    st._set_attr(ov, "delta_shift", min(st.val.k, ov.delta_shift + alpha))
     return True
 
 
 def _bound_loop(st: PropState, project: bool) -> bool:
     """Queue-driven fixpoint; returns True when the network wiped out."""
     functions = st.instance.functions
-    n = len(st.domains)
     while st.queue:
         xj = st._pop()
         st.stats.queue_pops += 1
@@ -498,48 +446,24 @@ def _bound_loop(st: PropState, project: bool) -> bool:
                     if st.w_zero >= st.k:
                         st._clear_queue()
                         return True
-            fn = functions[fi]
-            for xi in fn.scope:
+            for xi in functions[fi].scope:
                 slot = st.slot_of[xi][fi]
-                alpha = _pinned(st, fi, xi, st.domains[xi].lb)
-                st._set_w_inf(xi, st.w_inf[xi] - st.delta_inf[xi][slot] + alpha)
-                st._set_delta_inf(xi, slot, alpha)
-                if prune_inf(st, xi):
-                    st._push(xi)
-                    if st.domains[xi].is_empty:
-                        st._clear_queue()
-                        return True
-                alpha = _pinned(st, fi, xi, st.domains[xi].ub)
-                st._set_w_sup(xi, st.w_sup[xi] - st.delta_sup[xi][slot] + alpha)
-                st._set_delta_sup(xi, slot, alpha)
-                if prune_sup(st, xi):
-                    st._push(xi)
-                    if st.domains[xi].is_empty:
-                        st._clear_queue()
-                        return True
-        if project and flag:
-            # The constant term grew: every bound must be re-checked.
-            for xi in range(n):
-                if prune_inf(st, xi):
-                    st._push(xi)
-                    if st.domains[xi].is_empty:
-                        st._clear_queue()
-                        return True
-                if prune_sup(st, xi):
-                    st._push(xi)
-                    if st.domains[xi].is_empty:
-                        st._clear_queue()
-                        return True
+                d = st.domains[xi]
+                for side in (INF, SUP):
+                    w, delta = st._caches[side]
+                    row = delta[xi]
+                    alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
+                    st._set_cell(w, xi, w[xi] - row[slot] + alpha)
+                    st._set_cell(row, slot, alpha)
+                    if prune(st, xi, side):
+                        st._push(xi)
+                        if d.is_empty:
+                            st._clear_queue()
+                            return True
+        # The constant term grew: every bound must be re-checked.
+        if project and flag and _prune_all(st):
+            return True
     return False
-
-
-def _reset_bound_caches(st: PropState) -> None:
-    for xi in range(len(st.domains)):
-        st._set_w_inf(xi, 0)
-        st._set_w_sup(xi, 0)
-        for pos in range(len(st.delta_inf[xi])):
-            st._set_delta_inf(xi, pos, 0)
-            st._set_delta_sup(xi, pos, 0)
 
 
 def _normalize_wipeout(st: PropState, project: bool) -> None:
@@ -549,12 +473,12 @@ def _normalize_wipeout(st: PropState, project: bool) -> None:
         if d.removed:
             for v in sorted(d.removed):
                 st._rm_discard(xi, v)
-        st._set_lb(xi, 0)
-        st._set_ub(xi, -1)
+        st._set_attr(d, "lb", 0)
+        st._set_attr(d, "ub", -1)
     if project:
-        st._set_w_zero(st.k)
-        for fi in range(len(st.overlays)):
-            st._set_shift(fi, st.val.k)
+        st._set_attr(st, "w_zero", st.k)
+        for ov in st.overlays:
+            st._set_attr(ov, "delta_shift", st.val.k)
     st._clear_queue()
 
 
@@ -570,31 +494,57 @@ def _report(st: PropState, empty: bool) -> ConsistencyReport:
     )
 
 
-def enforce_bac(st: PropState) -> ConsistencyReport:
-    """Bound filtering alone: deletes bound values whose combined pinned
-    minima reach the top. Never moves cost to the constant term."""
+def _enforce_bounds(st: PropState, project: bool) -> ConsistencyReport:
     st._require_interval()
     if st.any_empty():
         return _report(st, True)
-    _reset_bound_caches(st)
+    for xi in range(len(st.domains)):
+        _zero_caches(st, xi, INF)
+        _zero_caches(st, xi, SUP)
     st._queue_all()
-    empty = _bound_loop(st, project=False)
+    empty = _bound_loop(st, project)
     if empty:
-        _normalize_wipeout(st, project=False)
+        _normalize_wipeout(st, project)
     return _report(st, empty)
+
+
+def enforce_bac(st: PropState) -> ConsistencyReport:
+    """Bound filtering alone: deletes bound values whose combined pinned
+    minima reach the top. Never moves cost to the constant term."""
+    return _enforce_bounds(st, project=False)
 
 
 def enforce_bac_zero(st: PropState) -> ConsistencyReport:
     """Joint fixpoint of bound filtering and whole-function projection."""
-    st._require_interval()
-    if st.any_empty():
-        return _report(st, True)
-    _reset_bound_caches(st)
-    st._queue_all()
-    empty = _bound_loop(st, project=True)
-    if empty:
-        _normalize_wipeout(st, project=True)
-    return _report(st, empty)
+    return _enforce_bounds(st, project=True)
+
+
+def _backward_check(st: PropState, project_assigned) -> bool:
+    """Backward checking: move the cost of every fully assigned function
+    onto w_zero with `project_assigned(st, fi)`. Returns whether anything
+    moved; stops early once w_zero reaches the top."""
+    moved = False
+    for fi, fn in enumerate(st.instance.functions):
+        if all(st.domains[v].lb == st.domains[v].ub for v in fn.scope):
+            if project_assigned(st, fi):
+                moved = True
+                if st.w_zero >= st.k:
+                    break
+    return moved
+
+
+def _project_assigned_bounds(st: PropState, fi: int) -> bool:
+    if not project_to_zero(st, fi):
+        return False
+    # The cached contributions of this function predate the shift and would
+    # double count it; the singleton tuple now costs exactly zero.
+    for v in st.instance.functions[fi].scope:
+        slot = st.slot_of[v][fi]
+        for w, delta in st._caches:
+            row = delta[v]
+            st._set_cell(w, v, w[v] - row[slot])
+            st._set_cell(row, slot, 0)
+    return True
 
 
 def resume_bounds(st: PropState, project: bool, touched: List[int]) -> bool:
@@ -602,27 +552,22 @@ def resume_bounds(st: PropState, project: bool, touched: List[int]) -> bool:
 
     Caches of untouched variables are still valid lower bounds (boxes only
     shrank), so a global prune sweep with cached sums is sound; touched
-    variables must have had their caches reset by the caller. Returns True
-    on wipeout, leaving the state un-normalized for the trail to undo.
+    variables must have had their caches reset, as `narrow` does. Without
+    projection, fully assigned functions contribute their cost to the
+    constant term (backward checking) until nothing moves. Returns True on
+    wipeout, leaving the state un-normalized for the trail to undo.
     """
     st._require_interval()
     for xi in touched:
         st._push(xi)
-    if st.w_zero >= st.k:
-        st._clear_queue()
-        return True
-    for xi in range(len(st.domains)):
-        if prune_inf(st, xi):
-            st._push(xi)
-            if st.domains[xi].is_empty:
-                st._clear_queue()
-                return True
-        if prune_sup(st, xi):
-            st._push(xi)
-            if st.domains[xi].is_empty:
-                st._clear_queue()
-                return True
-    return _bound_loop(st, project)
+    while True:
+        if st.w_zero >= st.k:
+            st._clear_queue()
+            return True
+        if _prune_all(st) or _bound_loop(st, project):
+            return True
+        if project or not _backward_check(st, _project_assigned_bounds):
+            return False
 
 
 # ----------------------------------------------------------------------
@@ -647,12 +592,12 @@ def project_unary(st: PropState, xi: int) -> bool:
     st._trace(event="project_unary", var=xi, amount=m)
     if m >= valk:
         # Every live value is intolerable; deletions will wipe the domain.
-        st._set_w_zero(st.k)
+        st._set_attr(st, "w_zero", st.k)
         return True
     for v in d.iter_values():
         c = arr[v - base]
-        st._set_unary(xi, v - base, valk if c >= valk else c - m)
-    st._set_w_zero(min(st.k, st.w_zero + m))
+        st._set_cell(arr, v - base, valk if c >= valk else c - m)
+    st._set_attr(st, "w_zero", min(st.k, st.w_zero + m))
     return True
 
 
@@ -661,17 +606,9 @@ def _delete_value(st: PropState, xi: int, v: int) -> None:
     st.stats.deletions += 1
     st._trace(event="delete", var=xi, bound="value", value=v, amount=1)
     if v == d.lb:
-        new = v + 1
-        while new <= d.ub and new in d.removed:
-            st._rm_discard(xi, new)
-            new += 1
-        st._set_lb(xi, new)
+        _slide(st, xi, INF, v + 1)
     elif v == d.ub:
-        new = v - 1
-        while new >= d.lb and new in d.removed:
-            st._rm_discard(xi, new)
-            new -= 1
-        st._set_ub(xi, new)
+        _slide(st, xi, SUP, v - 1)
     else:
         st._rm_add(xi, v)
 
@@ -736,16 +673,16 @@ def _project_binary_one(st: PropState, fi: int, xi: int, vi: int) -> bool:
                 return False
     st.stats.projections += 1
     st._trace(event="project_binary", fn=fi, var=xi, value=vi, amount=m)
-    base = st.base_lb[xi]
+    i = vi - st.base_lb[xi]
+    arr = st.unary[xi]
     if m >= valk:
         # All pairs through this value are intolerable; the value is doomed
         # and the offsets stay untouched.
-        st._set_unary(xi, vi - base, valk)
+        st._set_cell(arr, i, valk)
         return True
     proj = st.pair_proj[fi][side]
-    st._set_pair_proj(fi, side, vi - base, proj[vi - base] + m)
-    u = st.unary[xi][vi - base]
-    st._set_unary(xi, vi - base, min(valk, u + m))
+    st._set_cell(proj, i, proj[i] + m)
+    st._set_cell(arr, i, min(valk, arr[i] + m))
     return True
 
 
@@ -840,17 +777,42 @@ def enforce_ac_star(st: PropState) -> ConsistencyReport:
     return _report(st, _ac_rounds(st))
 
 
-def resume_values(st: PropState, arc: bool, touched: List[int]) -> bool:
-    """Re-establish NC (and arc consistency when `arc`) after narrowing."""
-    st._require_values()
-    if st.w_zero >= st.k:
-        st._clear_queue()
-        return True
-    if _nc_fixpoint(st):
-        st._clear_queue()
-        return True
-    if not arc:
+def _project_assigned_values(st: PropState, fi: int) -> bool:
+    """Move a fully assigned function's effective cost to the constant term
+    via its shift."""
+    fn = st.instance.functions[fi]
+    if fn.arity == 1:
+        return False  # absorbed into the unary arrays
+    values = tuple(st.domains[v].lb for v in fn.scope)
+    ov = st.overlays[fi]
+    ov.eval_count += 1
+    raw = raw_cost(fn, values, st.val)
+    valk = st.val.k
+    eff = valk if raw == valk else raw - min(ov.delta_shift, raw)
+    if eff == 0:
         return False
-    for xi in touched:
-        st._push(xi)
-    return _ac_rounds(st)
+    st.stats.projections += 1
+    st._trace(event="project", fn=fi, amount=eff)
+    st._set_attr(st, "w_zero", min(st.k, st.w_zero + eff))
+    st._set_attr(ov, "delta_shift", min(valk, ov.delta_shift + eff))
+    return True
+
+
+def resume_values(st: PropState, arc: bool, touched: List[int]) -> bool:
+    """Re-establish NC (and arc consistency when `arc`) after narrowing.
+
+    Without arc consistency, fully assigned functions contribute their cost
+    to the constant term (backward checking) until nothing moves. Returns
+    True on wipeout.
+    """
+    st._require_values()
+    while True:
+        if st.w_zero >= st.k or _nc_fixpoint(st):
+            st._clear_queue()
+            return True
+        if arc:
+            for xi in touched:
+                st._push(xi)
+            return _ac_rounds(st)
+        if not _backward_check(st, _project_assigned_values):
+            return False

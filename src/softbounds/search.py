@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .core import CapError, ContractError
-from .costfn import raw_cost
+
+# The search calls no cost function itself. `raw_cost` stays importable from
+# this module because perfbench/tracer.py wraps it under this name.
+from .costfn import raw_cost  # noqa: F401
 from .network import Instance, total_cost
 from .propagation import (
     AC_VALUE_CAP,
     PropState,
-    project_to_zero,
+    narrow,
     resume_bounds,
     resume_values,
 )
@@ -36,7 +39,6 @@ class SearchOptions:
     time_limit: Optional[float] = None
     branching: str = "dichotomic"  # or "enumerate"
     var_order: str = "min_domain"  # or "lex"
-    seed: int = 0
 
 
 @dataclass
@@ -88,54 +90,10 @@ class _Searcher:
             raise _Limit
 
     def _enforce(self, touched: List[int]) -> bool:
-        st = self.st
         c = self.opts.consistency
-        if c == "bac0":
-            return resume_bounds(st, project=True, touched=touched)
-        if c == "bac":
-            # Bound filtering plus backward checking: fully assigned
-            # functions contribute their cost to the constant term.
-            while True:
-                if resume_bounds(st, project=False, touched=touched):
-                    return True
-                touched = []
-                progressed = False
-                for fi, fn in enumerate(st.instance.functions):
-                    if all(st.domains[v].lb == st.domains[v].ub for v in fn.scope):
-                        if project_to_zero(st, fi):
-                            progressed = True
-                            # The cached contributions of this function
-                            # predate the shift and would double count it;
-                            # the singleton tuple now costs exactly zero.
-                            for v in fn.scope:
-                                slot = st.slot_of[v][fi]
-                                st._set_w_inf(v, st.w_inf[v] - st.delta_inf[v][slot])
-                                st._set_delta_inf(v, slot, 0)
-                                st._set_w_sup(v, st.w_sup[v] - st.delta_sup[v][slot])
-                                st._set_delta_sup(v, slot, 0)
-                            if st.w_zero >= st.k:
-                                return True
-                if not progressed:
-                    return False
-        if c == "ac":
-            return resume_values(st, arc=True, touched=touched)
-        if c == "nc":
-            while True:
-                if resume_values(st, arc=False, touched=touched):
-                    return True
-                touched = []
-                progressed = False
-                for fi, fn in enumerate(st.instance.functions):
-                    if fn.arity == 1:
-                        continue  # absorbed into the unary overlays
-                    if all(st.domains[v].lb == st.domains[v].ub for v in fn.scope):
-                        if project_to_zero_values(st, fi):
-                            progressed = True
-                            if st.w_zero >= st.k:
-                                return True
-                if not progressed:
-                    return False
-        raise ContractError(f"unknown consistency {c!r}")
+        if c in ("bac", "bac0"):
+            return resume_bounds(self.st, project=c == "bac0", touched=touched)
+        return resume_values(self.st, arc=c == "ac", touched=touched)
 
     def _node(self, depth: int, touched: List[int]) -> None:
         self._check_limits()
@@ -161,14 +119,14 @@ class _Searcher:
                 if not d.contains(v):
                     continue  # value may have died in a sibling's propagation
                 mark = st.mark()
-                self._narrow(var, v, v)
+                narrow(st, var, v, v)
                 self._node(depth + 1, touched=[var])
                 st.undo_to(mark)
         else:
             mid = (d.lb + d.ub) // 2
             for lo, hi in ((d.lb, mid), (mid + 1, d.ub)):
                 mark = st.mark()
-                self._narrow(var, lo, hi)
+                narrow(st, var, lo, hi)
                 if st.domains[var].is_empty:
                     st.undo_to(mark)
                     continue
@@ -188,51 +146,6 @@ class _Searcher:
             if best_size is None or size < best_size:
                 best, best_size = i, size
         return best
-
-    def _narrow(self, var: int, lo: int, hi: int) -> None:
-        st = self.st
-        d = st.domains[var]
-        new_lb = max(d.lb, lo)
-        new_ub = min(d.ub, hi)
-        if d.removed:
-            for v in [w for w in d.removed if w < new_lb or w > new_ub]:
-                st._rm_discard(var, v)
-            while new_lb <= new_ub and d.removed and new_lb in d.removed:
-                st._rm_discard(var, new_lb)
-                new_lb += 1
-            while new_lb <= new_ub and d.removed and new_ub in d.removed:
-                st._rm_discard(var, new_ub)
-                new_ub -= 1
-        st._set_lb(var, new_lb)
-        st._set_ub(var, new_ub)
-        if st.mode == "interval":
-            # The variable's own bound caches refer to the old bounds and
-            # would be unsound to prune with; zero them, the queue refresh
-            # recomputes them.
-            st._set_w_inf(var, 0)
-            st._set_w_sup(var, 0)
-            for pos in range(len(st.delta_inf[var])):
-                st._set_delta_inf(var, pos, 0)
-                st._set_delta_sup(var, pos, 0)
-
-
-def project_to_zero_values(st: PropState, fi: int) -> bool:
-    """Backward-checking projection for value mode: move a fully assigned
-    function's effective cost to the constant term via its shift."""
-    fn = st.instance.functions[fi]
-    values = tuple(st.domains[v].lb for v in fn.scope)
-    ov = st.overlays[fi]
-    ov.eval_count += 1
-    raw = raw_cost(fn, values, st.val)
-    valk = st.val.k
-    eff = valk if raw == valk else raw - min(ov.delta_shift, raw)
-    if eff == 0:
-        return False
-    st.stats.projections += 1
-    st._trace(event="project", fn=fi, amount=eff)
-    st._set_w_zero(min(st.k, st.w_zero + eff))
-    st._set_shift(fi, min(valk, ov.delta_shift + eff))
-    return True
 
 
 def solve(inst: Instance, opts: SearchOptions) -> SearchResult:

@@ -267,7 +267,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
             ["propagate", str(random_file), "--consistency", "bac0", "--json"],
             ["propagate", str(random_file), "--consistency", "nc"],
             ["propagate", str(sat_file), "--consistency", "bac0", "--json"],
-            ["solve", str(random_file), "--json", "--seed", "1"],
+            ["solve", str(random_file), "--json"],
             ["verify", str(random_file), "--json"],
             ["reify", str(random_file), "--compare", "--json"],
         ]

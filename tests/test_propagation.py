@@ -8,6 +8,8 @@ from softbounds.network import Instance
 from softbounds.oracle import brute_optimum, naive_bac_fixpoint, naive_bac_zero_fixpoint
 from softbounds.propagation import (
     AC_VALUE_CAP,
+    INF,
+    SUP,
     PropState,
     enforce_ac_star,
     enforce_bac,
@@ -16,8 +18,7 @@ from softbounds.propagation import (
     project_binary,
     project_to_zero,
     project_unary,
-    prune_inf,
-    prune_sup,
+    prune,
 )
 
 from helpers import preservation_ok, suite
@@ -229,14 +230,14 @@ class TestPrune:
     def test_fires_at_top(self, inst_pair_tables):
         st = PropState(inst_pair_tables)
         st.w_inf[0] = 2  # combined pinned contributions of the lower bound
-        assert prune_inf(st, 0)
+        assert prune(st, 0, INF)
         assert st.domains[0].lb == 1
         assert st.w_inf[0] == 0 and all(v == 0 for v in st.delta_inf[0])
 
     def test_guard_below_top(self, inst_pair_tables):
         st = PropState(inst_pair_tables)
         st.w_inf[0] = 1
-        assert not prune_inf(st, 0)
+        assert not prune(st, 0, INF)
         assert st.domains[0].lb == 0
 
     def test_singleton_wipeout(self):
@@ -249,7 +250,7 @@ class TestPrune:
         )
         st = PropState(inst)
         st.w_sup[0] = 1
-        assert prune_sup(st, 0)
+        assert prune(st, 0, SUP)
         assert st.domains[0].is_empty
 
 

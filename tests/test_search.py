@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from softbounds.core import CapError, ContractError, Domain, ValuationStructure, Variable
 from softbounds.costfn import CostFunction, ExtTable
 from softbounds.network import Instance, total_cost
 from softbounds.oracle import brute_optimum
-from softbounds.propagation import PropState
+from softbounds.propagation import PropState, narrow, resume_bounds, resume_values
 from softbounds.search import SearchOptions, solve
 
 from helpers import binary_only, suite
@@ -68,6 +70,28 @@ class TestPruningStrength:
             assert strong.backtracks <= weak.backtracks, inst.name
 
 
+def _resume(st, consistency, touched):
+    if consistency in ("bac", "bac0"):
+        return resume_bounds(st, project=consistency == "bac0", touched=touched)
+    return resume_values(st, arc=consistency == "ac", touched=touched)
+
+
+def _trailed(st):
+    """A copy of every container the trail restores."""
+    return (
+        [(d.lb, d.ub, None if d.removed is None else sorted(d.removed)) for d in st.domains],
+        st.w_zero,
+        [ov.delta_shift for ov in st.overlays],
+        list(st.w_inf),
+        list(st.w_sup),
+        [list(row) for row in st.delta_inf],
+        [list(row) for row in st.delta_sup],
+        None if st.unary is None else [list(arr) for arr in st.unary],
+        None if st.pair_proj is None
+        else {fi: (list(a), list(b)) for fi, (a, b) in st.pair_proj.items()},
+    )
+
+
 class TestStateRestoration:
     def test_post_search_fingerprint(self):
         for inst in suite(10, max_volume=2000):
@@ -82,6 +106,40 @@ class TestStateRestoration:
             enforce_bac_zero(st)
             st.undo_to(mark)
             assert st.fingerprint() == before, inst.name
+
+    @pytest.mark.parametrize("consistency", ALL)
+    def test_undo_restores_every_trailed_container(self, consistency):
+        # Mirror a search: resume at the root, then nested narrow + resume
+        # steps, each under its own mark; undo them innermost first.
+        rng = random.Random(consistency)
+        mode = "values" if consistency in ("nc", "ac") else "interval"
+        checked = 0
+        for inst in suite(25, max_volume=3000):
+            if consistency == "ac" and not binary_only(inst):
+                continue
+            st = PropState(inst, mode=mode, record_trail=True)
+            stack = [(st.mark(), _trailed(st))]
+            empty = _resume(st, consistency, list(range(len(st.domains))))
+            for _ in range(6):
+                open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
+                if empty or not open_vars:
+                    break
+                var = rng.choice(open_vars)
+                d = st.domains[var]
+                if mode == "values" and rng.random() < 0.5:
+                    lo = hi = rng.choice(list(d.iter_values()))
+                else:
+                    mid = (d.lb + d.ub) // 2
+                    lo, hi = rng.choice(((d.lb, mid), (mid + 1, d.ub)))
+                stack.append((st.mark(), _trailed(st)))
+                narrow(st, var, lo, hi)
+                empty = st.domains[var].is_empty or _resume(st, consistency, [var])
+            checked += len(stack)
+            while stack:
+                mark, want = stack.pop()
+                st.undo_to(mark)
+                assert _trailed(st) == want, (inst.name, consistency, len(stack))
+        assert checked > 20
 
     def test_incumbents_strictly_decreasing(self):
         for inst in suite(15, max_volume=3000):
