@@ -2,9 +2,10 @@
 
 Exit codes: 0 for a non-empty/feasible outcome, 1 for an empty or
 infeasible one, 2 for usage, parse and file errors, 3 for cap or budget
-refusals. Reports are deterministic for fixed inputs and seeds; wall-clock
-time is only included when --timing is passed so that default output stays
-byte-identical across runs.
+refusals, 4 for a search stopped by its node or time limit before it found
+any solution (nothing is proven either way). Reports are deterministic for
+fixed inputs and seeds; wall-clock time is only included when --timing is
+passed so that default output stays byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _cmd_solve(args) -> int:
         "command": "solve",
         "consistency": args.consistency,
         "status": result.status,
-        "empty": result.best_cost is None,
+        "empty": result.status == "infeasible",
         "domains": [[v.domain.lb, v.domain.ub] for v in inst.variables],
     }
     if result.best_cost is not None:
@@ -112,7 +113,9 @@ def _cmd_solve(args) -> int:
     if args.timing:
         out["wall_ms"] = wall_ms
     _print_report(out, args.json)
-    return 1 if result.best_cost is None else 0
+    if result.best_cost is not None:
+        return 0
+    return 1 if result.status == "infeasible" else 4
 
 
 def _cmd_gen(args) -> int:

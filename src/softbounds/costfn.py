@@ -543,16 +543,19 @@ def check_function(fn: CostFunction, bounds: Box, val: ValuationStructure) -> No
     kind = fn.kind
     if isinstance(kind, ExtTable):
         check_cost(kind.default, val)
-        for values, c in kind.table.items():
-            if len(values) != fn.arity:
-                raise ContractError(f"tuple {values} does not match arity {fn.arity}")
-            for w, v in zip(values, fn.scope):
-                lo, hi = bounds[v]
-                if not lo <= w <= hi:
-                    raise ContractError(
-                        f"tuple value {w} outside [{lo}, {hi}] of variable {v}"
-                    )
-            check_cost(c, val)
+        # The per-tuple loop runs only when the column-wise check fails, to
+        # name the same first offender in table order.
+        if not _table_in_range(fn, bounds, val):
+            for values, c in kind.table.items():
+                if len(values) != fn.arity:
+                    raise ContractError(f"tuple {values} does not match arity {fn.arity}")
+                for w, v in zip(values, fn.scope):
+                    lo, hi = bounds[v]
+                    if not lo <= w <= hi:
+                        raise ContractError(
+                            f"tuple value {w} outside [{lo}, {hi}] of variable {v}"
+                        )
+                check_cost(c, val)
         if kind.semiconvex is not None:
             if fn.arity != 2:
                 raise ContractError("semi-convex tags apply to binary tables only")
@@ -583,3 +586,25 @@ def check_function(fn: CostFunction, bounds: Box, val: ValuationStructure) -> No
     else:
         raise ContractError(f"unknown cost kind {type(kind).__name__}")
 
+
+def _table_in_range(fn: CostFunction, bounds: Box, val: ValuationStructure) -> bool:
+    """Whether every tuple has the scope's arity, values inside the scope's
+    intervals and a cost in [0, k], checked one column at a time.
+
+    Exact for integer entries, whose min and max bound every entry; a float
+    NaN, which compares false both ways, can hide from them.
+    """
+    table = fn.kind.table
+    if not table:
+        return True
+    try:
+        if set(map(len, table)) != {fn.arity}:
+            return False
+        for col, v in zip(zip(*table), fn.scope):
+            lo, hi = bounds[v]
+            if min(col) < lo or max(col) > hi:
+                return False
+        costs = table.values()
+        return min(costs) >= 0 and max(costs) <= val.k
+    except TypeError:  # a key or cost of the wrong type: let the loop name it
+        return False

@@ -17,6 +17,15 @@ Grammar (one directive per line, '#' starts a comment):
 Parsing is strict: unknown directives, duplicate or out-of-order variable
 ids, tuple values outside the declared interval and costs outside [0, k]
 are all reported with their line number.
+
+Lines are cut as `str.splitlines` cuts them and tokenized on demand, one
+logical line per directive, so no token list of the whole file is ever
+built. Table bodies are read in bulk, a chunk of lines at a time: a chunk's
+lines are converted to integers together and checked one column at a time.
+From the first chunk that fails a check (a comment or blank line inside
+it, a bad token, a value or cost out of range, a repeated tuple, an early
+end of file) the body is read line by line, so every error still names
+its line and says what is wrong with it.
 """
 
 from __future__ import annotations
@@ -49,22 +58,25 @@ def _int(tok: str, lineno: int, what: str) -> int:
 
 
 class _Lines:
-    """Logical (non-empty, comment-stripped) lines with their numbers."""
+    """Cursor over the lines of a text, cut exactly as `str.splitlines` cuts.
+
+    `next` tokenizes one logical (non-empty, comment-stripped) line per call,
+    so no token list outlives its directive; `raw` and `pos` let the table
+    reader take whole chunks of a body as slices, and drop their text.
+    """
 
     def __init__(self, text: str):
-        self.items: List[Tuple[int, List[str]]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.items.append((lineno, body.split()))
-        self.pos = 0
+        self.raw = text.splitlines()
+        self.pos = 0  # index of the next raw line; its number is pos + 1
 
     def next(self) -> Optional[Tuple[int, List[str]]]:
-        if self.pos >= len(self.items):
-            return None
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
+        raw = self.raw
+        while self.pos < len(raw):
+            self.pos += 1
+            toks = raw[self.pos - 1].split("#", 1)[0].split()
+            if toks:
+                return self.pos, toks
+        return None
 
 
 def parse_text(text: str) -> Instance:
@@ -185,24 +197,7 @@ def _parse_fun(lines, lineno, toks, val, var_interval) -> CostFunction:
         if not 0 <= default <= val.k:
             raise ParseError(lineno, f"default cost {default} outside [0, {val.k}]")
         count = _int(args[r + 2], lineno, "tuple count")
-        table = {}
-        for _ in range(count):
-            item = lines.next()
-            if item is None:
-                raise ParseError(lineno, f"expected {count} tuple lines, file ended early")
-            tl, ttoks = item
-            if len(ttoks) != r + 1:
-                raise ParseError(tl, f"expected {r} values and a cost")
-            values = tuple(_int(t, tl, "value") for t in ttoks[:r])
-            cost = _int(ttoks[r], tl, "cost")
-            for w, (lo, hi) in zip(values, intervals):
-                if not lo <= w <= hi:
-                    raise ParseError(tl, f"value {w} outside [{lo}, {hi}]")
-            if not 0 <= cost <= val.k:
-                raise ParseError(tl, f"cost {cost} outside [0, {val.k}]")
-            if values in table:
-                raise ParseError(tl, f"duplicate tuple {values}")
-            table[values] = cost
+        table = _read_table(lines, lineno, count, intervals, val.k)
         return CostFunction(scope=scope, kind=ExtTable(default=default, table=table))
 
     def binary_scope(min_args: int, usage: str) -> Tuple[int, int]:
@@ -260,6 +255,78 @@ def _parse_fun(lines, lineno, toks, val, var_interval) -> CostFunction:
     raise ParseError(lineno, f"unknown function kind {sub!r}")
 
 
+# Table bodies are read in bulk this many lines at a time, which bounds the
+# token strings and integer columns alive at once.
+_CHUNK = 4096
+
+
+def _read_table(lines: _Lines, lineno: int, count: int, intervals, k: int) -> dict:
+    """The `count` tuple lines after a `fun ext` line, as a table.
+
+    Whole chunks of the body are read in bulk while each one is exactly its
+    lines' worth of r + 1 in-range integers and repeats no tuple. The rest of
+    the body, from the first chunk that fails (a comment, a blank line, a bad
+    token, a value out of range, a repeated tuple, an early end), is read
+    line by line. The chunks before it hold no fault, so that loop names the
+    same line with the same message as reading the whole body line by line.
+    """
+    table: dict = {}
+    done = _bulk_rows(lines, count, intervals, k, table)
+    r = len(intervals)
+    for _ in range(count - done):
+        item = lines.next()
+        if item is None:
+            raise ParseError(lineno, f"expected {count} tuple lines, file ended early")
+        tl, ttoks = item
+        if len(ttoks) != r + 1:
+            raise ParseError(tl, f"expected {r} values and a cost")
+        values = tuple(_int(t, tl, "value") for t in ttoks[:r])
+        cost = _int(ttoks[r], tl, "cost")
+        for w, (lo, hi) in zip(values, intervals):
+            if not lo <= w <= hi:
+                raise ParseError(tl, f"value {w} outside [{lo}, {hi}]")
+        if not 0 <= cost <= k:
+            raise ParseError(tl, f"cost {cost} outside [0, {k}]")
+        if values in table:
+            raise ParseError(tl, f"duplicate tuple {values}")
+        table[values] = cost
+    return table
+
+
+def _bulk_rows(lines: _Lines, count: int, intervals, k: int, table: dict) -> int:
+    """Adds the valid whole chunks that start the next `count` lines to
+    `table`, checked one column at a time, and returns how many lines that
+    consumed. The text of consumed lines is dropped: it is never read again.
+    """
+    raw = lines.raw
+    r1 = len(intervals) + 1
+    ranges = intervals + [(0, k)]
+    done = 0
+    while done < count:
+        start = lines.pos
+        n = min(_CHUNK, count - done)
+        chunk = raw[start : start + n]
+        if len(chunk) < n:
+            break  # the file ends inside the body
+        if set(map(len, map(str.split, chunk))) != {r1}:
+            break
+        try:
+            ints = list(map(int, " ".join(chunk).split()))
+        except ValueError:
+            break
+        cols = [ints[i::r1] for i in range(r1)]
+        if any(min(col) < lo or max(col) > hi for col, (lo, hi) in zip(cols, ranges)):
+            break
+        part = dict(zip(zip(*cols[:-1]), cols[-1]))
+        if len(part) < n or not part.keys().isdisjoint(table.keys()):
+            break  # a repeated tuple
+        table.update(part)
+        raw[start : start + n] = [None] * n
+        lines.pos = start + n
+        done += n
+    return done
+
+
 def _apply_tag(functions, fun_kinds, lineno, toks, val, variables) -> None:
     if len(toks) != 4 or toks[1] != "semiconvex" or toks[3] not in ("asc", "desc"):
         raise ParseError(lineno, "expected 'tag semiconvex <var-id> <asc|desc>'")
@@ -285,8 +352,22 @@ def _apply_tag(functions, fun_kinds, lineno, toks, val, variables) -> None:
 
 
 def parse_path(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    return parse_text(_read_utf8(path))
+
+
+def _read_utf8(path: str) -> str:
+    # The bytes die when this returns, before parsing starts.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The prefix before the first bad byte decodes; count its lines the
+        # way parse_text does.
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            lineno, f"byte 0x{data[exc.start]:02x} is not valid UTF-8 ({exc.reason})"
+        ) from None
 
 
 def emit(inst: Instance) -> str:

@@ -76,6 +76,14 @@ class TestPropagate:
         assert captured.err.startswith("error: ")
         assert "missing.wcsp" in captured.err
 
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "latin.wcsp"
+        bad.write_bytes(b"wcsp x\nk 5\r\nvar 0 0 1 # caf\xe9\n")
+        assert main(["propagate", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 3: byte 0xe9 is not valid UTF-8")
+
     def test_value_mode_cap_exit_3(self, capsys, tmp_path):
         path = tmp_path / "wide.wcsp"
         path.write_text(emit(gen_spacerchain(m=3, L=10**6, seed=1)))
@@ -118,6 +126,16 @@ class TestSolve:
             capsys, ["solve", sum_file, "--consistency", "nc", "--node-limit", "1", "--json"]
         )
         assert rep["status"] == "limit"
+        # No incumbent and no proof either way: not "empty", and its own code.
+        assert code == 4
+        assert rep["empty"] is False and "optimum" not in rep
+
+    def test_node_limit_with_incumbent_exits_0(self, capsys, sum_file):
+        code, rep = run_json(
+            capsys, ["solve", sum_file, "--consistency", "nc", "--node-limit", "10", "--json"]
+        )
+        assert rep["status"] == "limit" and rep["optimum"] == 2
+        assert code == 0 and rep["empty"] is False
 
 
 class TestGen:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from softbounds.core import CapError, INFINITY, ParseError
 from softbounds.costfn import ExtTable, Spacer
-from softbounds.fileformat import emit, parse_text
+from softbounds.fileformat import emit, parse_path, parse_text
 from softbounds.generators import gen_random, gen_satellite, gen_spacerchain
 
 from helpers import suite
@@ -145,3 +147,49 @@ class TestRoundTrips:
         a = emit(gen_random(n=5, d=6, e=7, seed=9))
         b = emit(gen_random(n=5, d=6, e=7, seed=9))
         assert a == b
+
+
+class TestParsePath:
+    def test_reads_utf8(self, tmp_path):
+        path = tmp_path / "ok.wcsp"
+        path.write_bytes("# café\r\nwcsp t\rk 5\nvar 0 0 1\n".encode("utf-8"))
+        assert parse_path(str(path)).valuation.k == 5
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.wcsp"
+        path.write_bytes(b"wcsp t\r\nk 5\rvar 0 0 1\n# caf\xc3(\nvar 1 0 1\n")
+        with pytest.raises(ParseError) as err:
+            parse_path(str(path))
+        assert err.value.lineno == 4
+        assert err.value.message == "byte 0xc3 is not valid UTF-8 (invalid continuation byte)"
+
+
+def _dense_table_text(rows: int, width: int) -> str:
+    """One binary table listing every tuple of a rows x width grid."""
+    lines = ["wcsp dense", "k 1000", f"var 0 0 {rows - 1}", f"var 1 0 {width - 1}",
+             f"fun ext 2 0 1 0 {rows * width}"]
+    lines += [f"{i} {j} {(i * 7 + j) % 1000}" for i in range(rows) for j in range(width)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make_text",
+    [
+        lambda: emit(gen_random(n=30, d=50, e=100, tightness=0.5, seed=5)),  # many tables
+        lambda: _dense_table_text(300, 200),  # one table of 60 000 lines
+    ],
+    ids=["random", "one-table"],
+)
+def test_parse_peak_memory_stays_below_twice_the_instance(make_text):
+    # Tokenizing every line up front peaked at 4.7x (random) and 4.1x
+    # (one-table) the size of the parsed instance.
+    text = make_text()
+    assert text.count("\n") >= 50_000
+    tracemalloc.start()
+    try:
+        inst = parse_text(text)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.functions
+    assert peak < 2 * size, (peak, size)
