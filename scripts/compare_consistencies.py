@@ -19,14 +19,15 @@ from softbounds.propagation import (
     enforce_bac,
     enforce_bac_zero,
     enforce_nc,
+    state_mode,
 )
 from softbounds.search import SearchOptions, solve
 
 ENFORCERS = {
-    "nc": (enforce_nc, "values"),
-    "ac": (enforce_ac_star, "values"),
-    "bac": (enforce_bac, "interval"),
-    "bac0": (enforce_bac_zero, "interval"),
+    "nc": enforce_nc,
+    "ac": enforce_ac_star,
+    "bac": enforce_bac,
+    "bac0": enforce_bac_zero,
 }
 
 
@@ -47,9 +48,9 @@ def main() -> None:
         inst = gen_random(
             n=args.n, d=args.d, e=args.e, k=args.k, tightness=args.tightness, seed=seed
         )
-        for name, (enforcer, mode) in ENFORCERS.items():
+        for name, enforcer in ENFORCERS.items():
             t0 = time.perf_counter()
-            rep = enforcer(PropState(inst, mode=mode))
+            rep = enforcer(PropState(inst, mode=state_mode(name)))
             result = solve(inst, SearchOptions(consistency=name))
             ms = (time.perf_counter() - t0) * 1000
             print(

@@ -33,6 +33,7 @@ from .propagation import (
     enforce_bac,
     enforce_bac_zero,
     enforce_nc,
+    state_mode,
 )
 from .reify import compare_strength, enforce_crisp_bc, reify
 from .search import SearchOptions, solve as search_solve
@@ -57,17 +58,20 @@ def _print_report(report: Dict, as_json: bool) -> None:
         print(f"{key}: {json.dumps(value)}")
 
 
+class _StderrTrace:
+    """Trace sink that writes each event to stderr as one JSON line."""
+
+    def append(self, event: Dict) -> None:
+        print(json.dumps(event), file=sys.stderr)
+
+
 def _cmd_propagate(args) -> int:
     inst = parse_path(args.file)
-    mode = "values" if args.consistency in ("nc", "ac") else "interval"
-    trace: Optional[list] = [] if args.trace else None
+    trace = _StderrTrace() if args.trace else None
     t0 = time.perf_counter()
-    st = PropState(inst, mode=mode, trace=trace)
+    st = PropState(inst, mode=state_mode(args.consistency), trace=trace)
     rep = ENFORCERS[args.consistency](st)
     wall_ms = int((time.perf_counter() - t0) * 1000)
-    if trace:
-        for event in trace:
-            print(json.dumps(event), file=sys.stderr)
     out: Dict = {
         "command": "propagate",
         "consistency": args.consistency,

@@ -121,10 +121,6 @@ class Domain:
                 continue
             yield v
 
-    def set_empty(self) -> None:
-        self.lb, self.ub = 0, -1
-        self.removed = None
-
     def copy(self) -> "Domain":
         return Domain(self.lb, self.ub, set(self.removed) if self.removed else None)
 

@@ -14,12 +14,13 @@ compute its minimum over a sub-box far below full enumeration:
 * the trapezoid gap function is minimised analytically on the interval of
   reachable gaps.
 
-Each kind carries its own `cost` (one tuple) and `box_min` (minimum raw cost
-over a box). `box_min` takes a tuple box, one (lo, hi) per scope position in
-scope order, trusts it to be non-empty and adds its raw lookups to the
-overlay's `eval_count`. The engines call it through `min_over_tuple_box`;
-the public `min_over_box` and `min_over_box_pinned` validate a box keyed by
-variable id, convert it and call the same code.
+Each kind class owns its directive `name`, its parameter checks (`check`),
+its text form (`text`), its `cost` (one tuple) and `box_min` (minimum raw
+cost over a box). `box_min` takes a tuple box, one (lo, hi) per scope
+position in scope order, trusts it to be non-empty and adds its raw lookups
+to the overlay's `eval_count`. The engines call it through
+`min_over_tuple_box`; the public `min_over_box` and `min_over_box_pinned`
+validate a box keyed by variable id, convert it and call the same code.
 
 Minimization works on *effective* costs raw(t) - delta_shift, where
 delta_shift records cost already moved to the network's constant term. The
@@ -30,8 +31,8 @@ stays within the cost scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .core import (
     Box,
@@ -39,7 +40,6 @@ from .core import (
     ContractError,
     ValuationStructure,
     check_cost,
-    ominus,
 )
 
 # Semi-convexity validation is quadratic in the interval width, so it is
@@ -91,9 +91,70 @@ class ExtTable:
     minimization along the tagged axis and is verified at load time.
     """
 
+    name: ClassVar[str] = "ext"
+
     default: int
     table: Dict[Tuple[int, ...], int]
     semiconvex: Optional[Tuple[int, str]] = None  # (variable id, "asc"|"desc")
+
+    def check(self, scope, bounds: Box, val: ValuationStructure) -> None:
+        check_cost(self.default, val)
+        # The per-tuple loop runs only when the column-wise check fails, to
+        # name the same first offender in table order.
+        if not self._in_range(scope, bounds, val):
+            for values, c in self.table.items():
+                if len(values) != len(scope):
+                    raise ContractError(f"tuple {values} does not match arity {len(scope)}")
+                for w, v in zip(values, scope):
+                    lo, hi = bounds[v]
+                    if not lo <= w <= hi:
+                        raise ContractError(
+                            f"tuple value {w} outside [{lo}, {hi}] of variable {v}"
+                        )
+                check_cost(c, val)
+        if self.semiconvex is not None:
+            if len(scope) != 2:
+                raise ContractError("semi-convex tags apply to binary tables only")
+            wrt, order = self.semiconvex
+            ok, witness = validate_semiconvex(CostFunction(scope, self), bounds, wrt, order, val)
+            if not ok:
+                raise ContractError(
+                    f"table is not semi-convex w.r.t. variable {wrt}: witness {witness}"
+                )
+
+    def _in_range(self, scope, bounds: Box, val: ValuationStructure) -> bool:
+        """Whether every tuple has the scope's arity, values inside the scope's
+        intervals and a cost in [0, k], checked one column at a time.
+
+        Exact for integer entries, whose min and max bound every entry; a float
+        NaN, which compares false both ways, can hide from them.
+        """
+        table = self.table
+        if not table:
+            return True
+        try:
+            if set(map(len, table)) != {len(scope)}:
+                return False
+            for col, v in zip(zip(*table), scope):
+                lo, hi = bounds[v]
+                if min(col) < lo or max(col) > hi:
+                    return False
+            costs = table.values()
+            return min(costs) >= 0 and max(costs) <= val.k
+        except TypeError:  # a key or cost of the wrong type: let the loop name it
+            return False
+
+    def text(self, scope) -> str:
+        table = self.table
+        ids = " ".join(str(v) for v in scope)
+        out = [f"fun ext {len(scope)} {ids} {self.default} {len(table)}"]
+        for values in sorted(table):
+            vals = " ".join(str(w) for w in values)
+            out.append(f"{vals} {table[values]}")
+        if self.semiconvex is not None:
+            wrt, order = self.semiconvex
+            out.append(f"tag semiconvex {wrt} {order}")
+        return "\n".join(out)
 
     def cost(self, values: Tuple[int, ...], k: int) -> int:
         return self.table.get(values, self.default)
@@ -156,13 +217,50 @@ class ExtTable:
         return best
 
 
+class _Binary:
+    """The kinds defined on two variables.
+
+    The text form is `fun <name> <i> <j>` followed by the dataclass fields
+    in order. Fields with a default (the `p q` of the map kinds) are given
+    all together or not at all, and left out when all are at their default.
+    """
+
+    name: ClassVar[str]
+
+    def check(self, scope, bounds: Box, val: ValuationStructure) -> None:
+        if len(scope) != 2:
+            raise ContractError(f"{type(self).__name__} requires a binary scope")
+        self._check_params(val)
+
+    def _check_params(self, val: ValuationStructure) -> None:
+        pass  # every parameter value is allowed
+
+    def text(self, scope) -> str:
+        params = fields(self)
+        vals = [getattr(self, f.name) for f in params]
+        if all(v == f.default for v, f in zip(vals, params) if f.default is not MISSING):
+            vals = [v for v, f in zip(vals, params) if f.default is MISSING]
+        return f"fun {self.name} {scope[0]} {scope[1]} " + " ".join(map(str, vals))
+
+
 @dataclass(frozen=True)
-class FunctionalEq:
-    """Cost 0 iff v_j == p*v_i + q, else alpha."""
+class _Map(_Binary):
+    """The kinds that single out the partner v_j == p*v_i + q."""
 
     alpha: int
     p: int = 1
     q: int = 0
+
+    def _check_params(self, val: ValuationStructure) -> None:
+        if not 1 <= self.alpha <= val.k:
+            raise ContractError(f"alpha {self.alpha} outside [1, {val.k}]")
+
+
+@dataclass(frozen=True)
+class FunctionalEq(_Map):
+    """Cost 0 iff v_j == p*v_i + q, else alpha."""
+
+    name: ClassVar[str] = "funceq"
 
     def cost(self, values: Tuple[int, int], k: int) -> int:
         vi, vj = values
@@ -190,12 +288,10 @@ class FunctionalEq:
 
 
 @dataclass(frozen=True)
-class AntiFunctionalNeq:
+class AntiFunctionalNeq(_Map):
     """Cost alpha iff v_j == p*v_i + q, else 0."""
 
-    alpha: int
-    p: int = 1
-    q: int = 0
+    name: ClassVar[str] = "antifuncneq"
 
     def cost(self, values: Tuple[int, int], k: int) -> int:
         vi, vj = values
@@ -214,11 +310,17 @@ class AntiFunctionalNeq:
 
 
 @dataclass(frozen=True)
-class MonoLeq:
+class MonoLeq(_Binary):
     """Cost 0 iff v_i + delta <= v_j, else alpha."""
+
+    name: ClassVar[str] = "monoleq"
 
     delta: int
     alpha: int
+
+    def _check_params(self, val: ValuationStructure) -> None:
+        if not 0 <= self.alpha <= val.k:
+            raise ContractError(f"alpha {self.alpha} outside [0, {val.k}]")
 
     def cost(self, values: Tuple[int, int], k: int) -> int:
         vi, vj = values
@@ -228,8 +330,13 @@ class MonoLeq:
 
 
 @dataclass(frozen=True)
-class LinPlus:
-    """Cost min(k, max(0, a*v_i + b*v_j + c))."""
+class LinPlus(_Binary):
+    """Cost min(k, max(0, a*v_i + b*v_j + c)).
+
+    Monotone in each argument by construction, so every a, b, c is allowed.
+    """
+
+    name: ClassVar[str] = "linplus"
 
     a: int
     b: int
@@ -246,18 +353,29 @@ class LinPlus:
 
 
 @dataclass(frozen=True)
-class Spacer:
+class Spacer(_Binary):
     """Trapezoid on the gap g = v_j - v_i.
 
     Zero on [d2, d3], ramps of the given slope on [d1, d2) and (d3, d4],
     intolerable outside [d1, d4]; everything clamped at k.
     """
 
+    name: ClassVar[str] = "spacer"
+
     d1: int
     d2: int
     d3: int
     d4: int
     slope: int
+
+    def _check_params(self, val: ValuationStructure) -> None:
+        if not self.d1 <= self.d2 <= self.d3 <= self.d4:
+            raise ContractError(
+                f"spacer breakpoints must be ordered, got "
+                f"({self.d1}, {self.d2}, {self.d3}, {self.d4})"
+            )
+        if self.slope < 1:
+            raise ContractError(f"spacer slope must be positive, got {self.slope}")
 
     def _gap_cost(self, g: int, k: int) -> int:
         if g < self.d1 or g > self.d4:
@@ -293,6 +411,12 @@ class Spacer:
 
 Kind = Union[ExtTable, FunctionalEq, AntiFunctionalNeq, MonoLeq, LinPlus, Spacer]
 
+# Every kind by its directive name.
+KINDS = {
+    cls.name: cls
+    for cls in (ExtTable, FunctionalEq, AntiFunctionalNeq, MonoLeq, LinPlus, Spacer)
+}
+
 
 @dataclass(frozen=True)
 class CostFunction:
@@ -322,23 +446,11 @@ def raw_cost(fn: CostFunction, values: Tuple[int, ...], val: ValuationStructure)
     return fn.kind.cost(values, val.k)
 
 
-def evaluate(
-    fn: CostFunction,
-    t: Mapping[int, int],
-    val: ValuationStructure,
-    overlay: Optional[FunctionOverlay] = None,
-) -> int:
-    """Effective cost of an assignment of exactly the scope."""
+def evaluate(fn: CostFunction, t: Mapping[int, int], val: ValuationStructure) -> int:
+    """Cost of an assignment of exactly the scope."""
     if len(t) != len(fn.scope) or any(v not in t for v in fn.scope):
         raise ContractError(f"assignment {dict(t)} does not match scope {fn.scope}")
-    values = tuple(t[v] for v in fn.scope)
-    raw = raw_cost(fn, values, val)
-    if overlay is None:
-        return raw
-    overlay.eval_count += 1
-    if overlay.delta_shift:
-        return ominus(raw, overlay.delta_shift, val)
-    return raw
+    return raw_cost(fn, tuple(t[v] for v in fn.scope), val)
 
 
 def min_over_tuple_box(fn: CostFunction, box: TupleBox, k: int, ov: FunctionOverlay) -> int:
@@ -540,71 +652,6 @@ def check_function(fn: CostFunction, bounds: Box, val: ValuationStructure) -> No
         raise ContractError("cost functions must have a non-empty scope")
     if len(set(fn.scope)) != fn.arity:
         raise ContractError(f"scope {fn.scope} repeats a variable")
-    kind = fn.kind
-    if isinstance(kind, ExtTable):
-        check_cost(kind.default, val)
-        # The per-tuple loop runs only when the column-wise check fails, to
-        # name the same first offender in table order.
-        if not _table_in_range(fn, bounds, val):
-            for values, c in kind.table.items():
-                if len(values) != fn.arity:
-                    raise ContractError(f"tuple {values} does not match arity {fn.arity}")
-                for w, v in zip(values, fn.scope):
-                    lo, hi = bounds[v]
-                    if not lo <= w <= hi:
-                        raise ContractError(
-                            f"tuple value {w} outside [{lo}, {hi}] of variable {v}"
-                        )
-                check_cost(c, val)
-        if kind.semiconvex is not None:
-            if fn.arity != 2:
-                raise ContractError("semi-convex tags apply to binary tables only")
-            wrt, order = kind.semiconvex
-            ok, witness = validate_semiconvex(fn, bounds, wrt, order, val)
-            if not ok:
-                raise ContractError(
-                    f"table is not semi-convex w.r.t. variable {wrt}: witness {witness}"
-                )
-        return
-    if fn.arity != 2:
-        raise ContractError(f"{type(kind).__name__} requires a binary scope")
-    if isinstance(kind, (FunctionalEq, AntiFunctionalNeq)):
-        if not 1 <= kind.alpha <= val.k:
-            raise ContractError(f"alpha {kind.alpha} outside [1, {val.k}]")
-    elif isinstance(kind, MonoLeq):
-        check_cost(kind.alpha, val)
-    elif isinstance(kind, Spacer):
-        if not kind.d1 <= kind.d2 <= kind.d3 <= kind.d4:
-            raise ContractError(
-                f"spacer breakpoints must be ordered, got "
-                f"({kind.d1}, {kind.d2}, {kind.d3}, {kind.d4})"
-            )
-        if kind.slope < 1:
-            raise ContractError(f"spacer slope must be positive, got {kind.slope}")
-    elif isinstance(kind, LinPlus):
-        pass  # a clamped linear form is monotone in each argument by construction
-    else:
-        raise ContractError(f"unknown cost kind {type(kind).__name__}")
-
-
-def _table_in_range(fn: CostFunction, bounds: Box, val: ValuationStructure) -> bool:
-    """Whether every tuple has the scope's arity, values inside the scope's
-    intervals and a cost in [0, k], checked one column at a time.
-
-    Exact for integer entries, whose min and max bound every entry; a float
-    NaN, which compares false both ways, can hide from them.
-    """
-    table = fn.kind.table
-    if not table:
-        return True
-    try:
-        if set(map(len, table)) != {fn.arity}:
-            return False
-        for col, v in zip(zip(*table), fn.scope):
-            lo, hi = bounds[v]
-            if min(col) < lo or max(col) > hi:
-                return False
-        costs = table.values()
-        return min(costs) >= 0 and max(costs) <= val.k
-    except TypeError:  # a key or cost of the wrong type: let the loop name it
-        return False
+    if type(fn.kind) not in KINDS.values():
+        raise ContractError(f"unknown cost kind {type(fn.kind).__name__}")
+    fn.kind.check(fn.scope, bounds, val)

@@ -16,7 +16,10 @@ Grammar (one directive per line, '#' starts a comment):
 
 Parsing is strict: unknown directives, duplicate or out-of-order variable
 ids, tuple values outside the declared interval and costs outside [0, k]
-are all reported with their line number.
+are all reported with their line number. The parameters of a non-table
+kind are the fields of its `costfn` class in field order, found through
+`costfn.KINDS` by directive name; the kind checks them and writes its own
+text, and a failed check is reported on the `fun` line.
 
 Lines are cut as `str.splitlines` cuts them and tokenized on demand, one
 logical line per directive, so no token list of the whole file is ever
@@ -31,20 +34,19 @@ its line and says what is wrong with it.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from typing import List, Optional, Tuple
 
-from .core import CapError, INFINITY, Domain, ParseError, ValuationStructure, Variable
-from .costfn import (
-    AntiFunctionalNeq,
-    CostFunction,
-    ExtTable,
-    FunctionalEq,
-    LinPlus,
-    MonoLeq,
-    Spacer,
-    validate_semiconvex,
+from .core import (
+    INFINITY,
+    CapError,
+    ContractError,
+    Domain,
+    ParseError,
+    ValuationStructure,
+    Variable,
 )
+from .costfn import KINDS, CostFunction, ExtTable, validate_semiconvex
 from .network import Instance
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -94,8 +96,6 @@ def parse_text(text: str) -> Instance:
     saw_w0 = False
     variables: List[Variable] = []
     functions: List[CostFunction] = []
-    # kind name of each parsed function, to resolve tag lines
-    fun_kinds: List[str] = []
 
     def need_val(lineno: int) -> ValuationStructure:
         if val is None:
@@ -156,9 +156,8 @@ def parse_text(text: str) -> Instance:
             if len(toks) < 2:
                 raise ParseError(lineno, "truncated fun directive")
             functions.append(_parse_fun(lines, lineno, toks, need_val(lineno), var_interval))
-            fun_kinds.append(toks[1])
         elif head == "tag":
-            _apply_tag(functions, fun_kinds, lineno, toks, need_val(lineno), variables)
+            _apply_tag(functions, lineno, toks, need_val(lineno), variables)
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
 
@@ -200,59 +199,29 @@ def _parse_fun(lines, lineno, toks, val, var_interval) -> CostFunction:
         table = _read_table(lines, lineno, count, intervals, val.k)
         return CostFunction(scope=scope, kind=ExtTable(default=default, table=table))
 
-    def binary_scope(min_args: int, usage: str) -> Tuple[int, int]:
-        if len(args) < min_args:
-            raise ParseError(lineno, f"expected '{usage}'")
-        i = _int(args[0], lineno, "variable id")
-        j = _int(args[1], lineno, "variable id")
-        var_interval(i, lineno)
-        var_interval(j, lineno)
-        if i == j:
-            raise ParseError(lineno, "binary function needs two distinct variables")
-        return i, j
-
-    if sub in ("funceq", "antifuncneq"):
-        usage = f"fun {sub} <i> <j> <alpha> [p q]"
-        i, j = binary_scope(3, usage)
-        if len(args) not in (3, 5):
-            raise ParseError(lineno, f"expected '{usage}'")
-        alpha = _int(args[2], lineno, "alpha")
-        if not 1 <= alpha <= val.k:
-            raise ParseError(lineno, f"alpha {alpha} outside [1, {val.k}]")
-        p, q = 1, 0
-        if len(args) == 5:
-            p = _int(args[3], lineno, "p")
-            q = _int(args[4], lineno, "q")
-        kind = FunctionalEq(alpha, p, q) if sub == "funceq" else AntiFunctionalNeq(alpha, p, q)
-        return CostFunction(scope=(i, j), kind=kind)
-    if sub == "monoleq":
-        i, j = binary_scope(4, "fun monoleq <i> <j> <delta> <alpha>")
-        if len(args) != 4:
-            raise ParseError(lineno, "expected 'fun monoleq <i> <j> <delta> <alpha>'")
-        delta = _int(args[2], lineno, "delta")
-        alpha = _int(args[3], lineno, "alpha")
-        if not 0 <= alpha <= val.k:
-            raise ParseError(lineno, f"alpha {alpha} outside [0, {val.k}]")
-        return CostFunction(scope=(i, j), kind=MonoLeq(delta, alpha))
-    if sub == "linplus":
-        i, j = binary_scope(5, "fun linplus <i> <j> <a> <b> <c>")
-        if len(args) != 5:
-            raise ParseError(lineno, "expected 'fun linplus <i> <j> <a> <b> <c>'")
-        a = _int(args[2], lineno, "a")
-        b = _int(args[3], lineno, "b")
-        c = _int(args[4], lineno, "c")
-        return CostFunction(scope=(i, j), kind=LinPlus(a, b, c))
-    if sub == "spacer":
-        i, j = binary_scope(7, "fun spacer <i> <j> <d1> <d2> <d3> <d4> <slope>")
-        if len(args) != 7:
-            raise ParseError(lineno, "expected 'fun spacer <i> <j> <d1> <d2> <d3> <d4> <slope>'")
-        d1, d2, d3, d4, slope = (_int(t, lineno, "spacer parameter") for t in args[2:7])
-        if not d1 <= d2 <= d3 <= d4:
-            raise ParseError(lineno, f"spacer breakpoints must be ordered, got {(d1, d2, d3, d4)}")
-        if slope < 1:
-            raise ParseError(lineno, f"spacer slope must be positive, got {slope}")
-        return CostFunction(scope=(i, j), kind=Spacer(d1, d2, d3, d4, slope))
-    raise ParseError(lineno, f"unknown function kind {sub!r}")
+    cls = KINDS.get(sub)
+    if cls is None:
+        raise ParseError(lineno, f"unknown function kind {sub!r}")
+    params = fields(cls)
+    required = [f.name for f in params if f.default is MISSING]
+    optional = [f.name for f in params if f.default is not MISSING]
+    usage = " ".join([f"fun {sub} <i> <j>"] + [f"<{name}>" for name in required])
+    if optional:
+        usage += f" [{' '.join(optional)}]"
+    if len(args) < 2 + len(required):
+        raise ParseError(lineno, f"expected '{usage}'")
+    scope = (_int(args[0], lineno, "variable id"), _int(args[1], lineno, "variable id"))
+    bounds = {v: var_interval(v, lineno) for v in scope}
+    if scope[0] == scope[1]:
+        raise ParseError(lineno, "binary function needs two distinct variables")
+    if len(args) not in (2 + len(required), 2 + len(params)):
+        raise ParseError(lineno, f"expected '{usage}'")
+    kind = cls(*(_int(tok, lineno, f.name) for tok, f in zip(args[2:], params)))
+    try:
+        kind.check(scope, bounds, val)
+    except ContractError as exc:
+        raise ParseError(lineno, str(exc))
+    return CostFunction(scope=scope, kind=kind)
 
 
 # Table bodies are read in bulk this many lines at a time, which bounds the
@@ -327,14 +296,14 @@ def _bulk_rows(lines: _Lines, count: int, intervals, k: int, table: dict) -> int
     return done
 
 
-def _apply_tag(functions, fun_kinds, lineno, toks, val, variables) -> None:
+def _apply_tag(functions, lineno, toks, val, variables) -> None:
     if len(toks) != 4 or toks[1] != "semiconvex" or toks[3] not in ("asc", "desc"):
         raise ParseError(lineno, "expected 'tag semiconvex <var-id> <asc|desc>'")
     if not functions:
         raise ParseError(lineno, "tag with no preceding function")
-    if fun_kinds[-1] != "ext":
-        raise ParseError(lineno, "semiconvex tags apply to extensional functions")
     fn = functions[-1]
+    if not isinstance(fn.kind, ExtTable):
+        raise ParseError(lineno, "semiconvex tags apply to extensional functions")
     if fn.kind.semiconvex is not None:
         raise ParseError(lineno, "function already carries a semiconvex tag")
     wrt = _int(toks[2], lineno, "variable id")
@@ -379,37 +348,5 @@ def emit(inst: Instance) -> str:
         out.append(f"w0 {inst.w_zero}")
     for v in inst.variables:
         out.append(f"var {v.id} {v.domain.lb} {v.domain.ub}")
-    for fn in inst.functions:
-        kind = fn.kind
-        if isinstance(kind, ExtTable):
-            ids = " ".join(str(v) for v in fn.scope)
-            out.append(f"fun ext {fn.arity} {ids} {kind.default} {len(kind.table)}")
-            for values in sorted(kind.table):
-                vals = " ".join(str(w) for w in values)
-                out.append(f"{vals} {kind.table[values]}")
-            if kind.semiconvex is not None:
-                wrt, order = kind.semiconvex
-                out.append(f"tag semiconvex {wrt} {order}")
-        elif isinstance(kind, FunctionalEq):
-            out.append(_map_line("funceq", fn, kind))
-        elif isinstance(kind, AntiFunctionalNeq):
-            out.append(_map_line("antifuncneq", fn, kind))
-        elif isinstance(kind, MonoLeq):
-            out.append(f"fun monoleq {fn.scope[0]} {fn.scope[1]} {kind.delta} {kind.alpha}")
-        elif isinstance(kind, LinPlus):
-            out.append(f"fun linplus {fn.scope[0]} {fn.scope[1]} {kind.a} {kind.b} {kind.c}")
-        elif isinstance(kind, Spacer):
-            out.append(
-                f"fun spacer {fn.scope[0]} {fn.scope[1]} "
-                f"{kind.d1} {kind.d2} {kind.d3} {kind.d4} {kind.slope}"
-            )
-        else:
-            raise ValueError(f"cannot emit kind {type(kind).__name__}")
+    out.extend(fn.kind.text(fn.scope) for fn in inst.functions)
     return "\n".join(out) + "\n"
-
-
-def _map_line(name: str, fn, kind) -> str:
-    base = f"fun {name} {fn.scope[0]} {fn.scope[1]} {kind.alpha}"
-    if (kind.p, kind.q) != (1, 0):
-        base += f" {kind.p} {kind.q}"
-    return base

@@ -10,11 +10,12 @@ Two families share one state object:
   value and per-value projection offsets for binary functions. Creation is
   refused above AC_VALUE_CAP values per domain.
 
-Bound caches hold exact integer sums of the per-function contributions;
-pruning compares w_zero + cache against the current top. This is equivalent
-to the saturating update-and-test formulation (a saturated cache always
-fires the prune that resets it) and stays well-defined when search tightens
-the top mid-run.
+The bound cache of a variable's side is its row of per-function
+contributions, one exact integer per incident function and nothing else:
+pruning compares w_zero plus the sum of the row against the current top.
+This is equivalent to the saturating update-and-test formulation (a
+saturated sum always fires the prune that resets the row) and stays
+well-defined when search tightens the top mid-run.
 
 On a wipeout the interval engines normalize the state to the closure of an
 inconsistent network: every domain empty, and for the projecting engine the
@@ -51,6 +52,11 @@ AC_VALUE_CAP = 65536
 INF, SUP = 0, 1
 
 
+def state_mode(consistency: str) -> str:
+    """The `PropState` mode that a consistency runs on."""
+    return "values" if consistency in ("nc", "ac") else "interval"
+
+
 def _set_member(items: set, v: int, member: bool) -> None:
     if member:
         items.add(v)
@@ -85,6 +91,9 @@ class PropState:
     key, old)`, and `undo_to` pops entries and calls `write(target, key,
     old)`: `setitem` for a list cell, `setattr` for an attribute (a bound,
     `w_zero`, a shift) and `_set_member` for an interior removal.
+
+    `trace`, a list or any object with an `append` method, receives one
+    event dict per deletion or projection as it happens.
     """
 
     def __init__(
@@ -111,12 +120,10 @@ class PropState:
         self.slot_of: List[Dict[int, int]] = [
             {fi: pos for pos, fi in enumerate(fis)} for fis in self.incident
         ]
-        self.w_inf = [0] * n
-        self.w_sup = [0] * n
         self.delta_inf: List[List[int]] = [[0] * len(fis) for fis in self.incident]
         self.delta_sup: List[List[int]] = [[0] * len(fis) for fis in self.incident]
         # The bound caches of each side, indexed by INF and SUP.
-        self._caches = ((self.w_inf, self.delta_inf), (self.w_sup, self.delta_sup))
+        self._caches = (self.delta_inf, self.delta_sup)
         self.overlays = [FunctionOverlay() for _ in inst.functions]
         self.queue: deque = deque()
         self.in_queue = [False] * n
@@ -255,7 +262,6 @@ class PropState:
         """Count of allocated state cells; domain-width independent in
         interval mode, which is the space guarantee the tests pin down."""
         cells = 2 * len(self.domains)  # bounds
-        cells += len(self.w_inf) + len(self.w_sup)
         cells += sum(len(row) for row in self.delta_inf)
         cells += sum(len(row) for row in self.delta_sup)
         cells += len(self.overlays)
@@ -351,9 +357,7 @@ def _slide(st: PropState, xi: int, side: int, new: int) -> None:
 
 
 def _zero_caches(st: PropState, xi: int, side: int) -> None:
-    w, delta = st._caches[side]
-    st._set_cell(w, xi, 0)
-    row = delta[xi]
+    row = st._caches[side][xi]
     for pos in range(len(row)):
         st._set_cell(row, pos, 0)
 
@@ -368,8 +372,7 @@ def prune(st: PropState, xi: int, side: int) -> bool:
     d = st.domains[xi]
     if d.is_empty:
         return False
-    w = st._caches[side][0]
-    if st.w_zero + w[xi] < st.k:
+    if st.w_zero + sum(st._caches[side][xi]) < st.k:
         return False
     v = d.ub if side else d.lb
     st._trace(event="delete", var=xi, bound="sup" if side else "inf", value=v, amount=1)
@@ -450,11 +453,8 @@ def _bound_loop(st: PropState, project: bool) -> bool:
                 slot = st.slot_of[xi][fi]
                 d = st.domains[xi]
                 for side in (INF, SUP):
-                    w, delta = st._caches[side]
-                    row = delta[xi]
                     alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
-                    st._set_cell(w, xi, w[xi] - row[slot] + alpha)
-                    st._set_cell(row, slot, alpha)
+                    st._set_cell(st._caches[side][xi], slot, alpha)
                     if prune(st, xi, side):
                         st._push(xi)
                         if d.is_empty:
@@ -469,10 +469,8 @@ def _bound_loop(st: PropState, project: bool) -> bool:
 def _normalize_wipeout(st: PropState, project: bool) -> None:
     # The closure of an inconsistent network: all domains empty, and with
     # projection everything saturated. Keeps the outcome schedule-free.
-    for xi, d in enumerate(st.domains):
-        if d.removed:
-            for v in sorted(d.removed):
-                st._rm_discard(xi, v)
+    # Interval state has no interior removals to clear.
+    for d in st.domains:
         st._set_attr(d, "lb", 0)
         st._set_attr(d, "ub", -1)
     if project:
@@ -540,10 +538,8 @@ def _project_assigned_bounds(st: PropState, fi: int) -> bool:
     # double count it; the singleton tuple now costs exactly zero.
     for v in st.instance.functions[fi].scope:
         slot = st.slot_of[v][fi]
-        for w, delta in st._caches:
-            row = delta[v]
-            st._set_cell(w, v, w[v] - row[slot])
-            st._set_cell(row, slot, 0)
+        for delta in st._caches:
+            st._set_cell(delta[v], slot, 0)
     return True
 
 

@@ -26,6 +26,7 @@ from .propagation import (
     narrow,
     resume_bounds,
     resume_values,
+    state_mode,
 )
 
 CONSISTENCIES = ("nc", "ac", "bac", "bac0")
@@ -116,8 +117,6 @@ class _Searcher:
         d = st.domains[var]
         if self.opts.branching == "enumerate":
             for v in list(d.iter_values()):
-                if not d.contains(v):
-                    continue  # value may have died in a sibling's propagation
                 mark = st.mark()
                 narrow(st, var, v, v)
                 self._node(depth + 1, touched=[var])
@@ -169,8 +168,7 @@ def solve(inst: Instance, opts: SearchOptions) -> SearchResult:
                 raise ContractError(
                     "arc consistency search requires unary and binary functions only"
                 )
-    mode = "values" if opts.consistency in ("nc", "ac") else "interval"
-    st = PropState(inst, mode=mode, record_trail=True)
+    st = PropState(inst, mode=state_mode(opts.consistency), record_trail=True)
     if opts.initial_ub is not None:
         if opts.initial_ub < 1:
             raise ContractError("initial upper bound must be at least 1")

@@ -106,9 +106,8 @@ class TestDomain:
         assert list(d.iter_values()) == [0, 1, 3, 4]
 
     def test_empty_state(self):
-        d = Domain(3, 5)
-        assert not d.is_empty
-        d.set_empty()
+        assert not Domain(3, 5).is_empty
+        d = Domain(0, -1)
         assert d.is_empty
         assert d.size() == 0
         assert list(d.iter_values()) == []

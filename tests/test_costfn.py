@@ -52,13 +52,6 @@ class TestEvaluate:
         assert evaluate(fn, {0: 5, 1: 5}, val) == 0
         assert evaluate(fn, {0: 5, 1: 6}, val) == 1
 
-    def test_shift_subtracts(self):
-        val = ValuationStructure(9)
-        fn = CostFunction(scope=(0, 1), kind=LinPlus(1, 1, 0))
-        ov = FunctionOverlay(delta_shift=2)
-        assert evaluate(fn, {0: 1, 1: 2}, val, ov) == 1
-        assert ov.eval_count == 1
-
     def test_wrong_scope_rejected(self):
         val = ValuationStructure(9)
         fn = CostFunction(scope=(0, 1), kind=MonoLeq(0, 1))

@@ -1,11 +1,22 @@
 import tracemalloc
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, strategies as st
 
-from softbounds.core import CapError, INFINITY, ParseError
-from softbounds.costfn import ExtTable, Spacer
+from softbounds.core import CapError, INFINITY, Domain, ParseError, ValuationStructure, Variable
+from softbounds.costfn import (
+    AntiFunctionalNeq,
+    CostFunction,
+    ExtTable,
+    FunctionalEq,
+    LinPlus,
+    MonoLeq,
+    Spacer,
+)
 from softbounds.fileformat import emit, parse_path, parse_text
 from softbounds.generators import gen_random, gen_satellite, gen_spacerchain
+from softbounds.network import Instance
 
 from helpers import suite
 
@@ -118,6 +129,112 @@ def test_malformed_inputs_name_their_line(text, lineno, fragment):
     assert fragment in err.value.message
 
 
+# Malformed `fun` lines of every non-table kind: an argument list one short
+# or one long, a bad token in each position, an unknown variable on each
+# side, the same variable twice, and out-of-range parameters.
+MALFORMED_FUN = [
+    ('fun funceq 0 1', 5, "expected 'fun funceq <i> <j> <alpha> [p q]'"),
+    ('fun funceq 0 1 2 7', 5, "expected 'fun funceq <i> <j> <alpha> [p q]'"),
+    ('fun funceq x 1 2', 5, "variable id must be an integer, got 'x'"),
+    ('fun funceq 0 x 2', 5, "variable id must be an integer, got 'x'"),
+    ('fun funceq 0 1 x', 5, "alpha must be an integer, got 'x'"),
+    ('fun funceq 9 1 2', 5, 'unknown variable id 9'),
+    ('fun funceq 0 9 2', 5, 'unknown variable id 9'),
+    ('fun funceq 0 0 2', 5, 'binary function needs two distinct variables'),
+    ('fun funceq 0 1 2 3', 5, "expected 'fun funceq <i> <j> <alpha> [p q]'"),
+    ('fun funceq 0 1 2 3 -1 7', 5, "expected 'fun funceq <i> <j> <alpha> [p q]'"),
+    ('fun funceq x 1 2 3 -1', 5, "variable id must be an integer, got 'x'"),
+    ('fun funceq 0 x 2 3 -1', 5, "variable id must be an integer, got 'x'"),
+    ('fun funceq 0 1 x 3 -1', 5, "alpha must be an integer, got 'x'"),
+    ('fun funceq 0 1 2 x -1', 5, "p must be an integer, got 'x'"),
+    ('fun funceq 0 1 2 3 x', 5, "q must be an integer, got 'x'"),
+    ('fun funceq 9 1 2 3 -1', 5, 'unknown variable id 9'),
+    ('fun funceq 0 9 2 3 -1', 5, 'unknown variable id 9'),
+    ('fun funceq 0 0 2 3 -1', 5, 'binary function needs two distinct variables'),
+    ('fun funceq', 5, "expected 'fun funceq <i> <j> <alpha> [p q]'"),
+    ('fun antifuncneq 0 1', 5, "expected 'fun antifuncneq <i> <j> <alpha> [p q]'"),
+    ('fun antifuncneq 0 1 2 7', 5, "expected 'fun antifuncneq <i> <j> <alpha> [p q]'"),
+    ('fun antifuncneq x 1 2', 5, "variable id must be an integer, got 'x'"),
+    ('fun antifuncneq 0 x 2', 5, "variable id must be an integer, got 'x'"),
+    ('fun antifuncneq 0 1 x', 5, "alpha must be an integer, got 'x'"),
+    ('fun antifuncneq 9 1 2', 5, 'unknown variable id 9'),
+    ('fun antifuncneq 0 9 2', 5, 'unknown variable id 9'),
+    ('fun antifuncneq 0 0 2', 5, 'binary function needs two distinct variables'),
+    ('fun antifuncneq 0 1 2 -2', 5, "expected 'fun antifuncneq <i> <j> <alpha> [p q]'"),
+    ('fun antifuncneq 0 1 2 -2 1 7', 5, "expected 'fun antifuncneq <i> <j> <alpha> [p q]'"),
+    ('fun antifuncneq x 1 2 -2 1', 5, "variable id must be an integer, got 'x'"),
+    ('fun antifuncneq 0 x 2 -2 1', 5, "variable id must be an integer, got 'x'"),
+    ('fun antifuncneq 0 1 x -2 1', 5, "alpha must be an integer, got 'x'"),
+    ('fun antifuncneq 0 1 2 x 1', 5, "p must be an integer, got 'x'"),
+    ('fun antifuncneq 0 1 2 -2 x', 5, "q must be an integer, got 'x'"),
+    ('fun antifuncneq 9 1 2 -2 1', 5, 'unknown variable id 9'),
+    ('fun antifuncneq 0 9 2 -2 1', 5, 'unknown variable id 9'),
+    ('fun antifuncneq 0 0 2 -2 1', 5, 'binary function needs two distinct variables'),
+    ('fun antifuncneq', 5, "expected 'fun antifuncneq <i> <j> <alpha> [p q]'"),
+    ('fun monoleq 0 1 1', 5, "expected 'fun monoleq <i> <j> <delta> <alpha>'"),
+    ('fun monoleq 0 1 1 4 7', 5, "expected 'fun monoleq <i> <j> <delta> <alpha>'"),
+    ('fun monoleq x 1 1 4', 5, "variable id must be an integer, got 'x'"),
+    ('fun monoleq 0 x 1 4', 5, "variable id must be an integer, got 'x'"),
+    ('fun monoleq 0 1 x 4', 5, "delta must be an integer, got 'x'"),
+    ('fun monoleq 0 1 1 x', 5, "alpha must be an integer, got 'x'"),
+    ('fun monoleq 9 1 1 4', 5, 'unknown variable id 9'),
+    ('fun monoleq 0 9 1 4', 5, 'unknown variable id 9'),
+    ('fun monoleq 0 0 1 4', 5, 'binary function needs two distinct variables'),
+    ('fun monoleq', 5, "expected 'fun monoleq <i> <j> <delta> <alpha>'"),
+    ('fun linplus 0 1 1 -1', 5, "expected 'fun linplus <i> <j> <a> <b> <c>'"),
+    ('fun linplus 0 1 1 -1 2 7', 5, "expected 'fun linplus <i> <j> <a> <b> <c>'"),
+    ('fun linplus x 1 1 -1 2', 5, "variable id must be an integer, got 'x'"),
+    ('fun linplus 0 x 1 -1 2', 5, "variable id must be an integer, got 'x'"),
+    ('fun linplus 0 1 x -1 2', 5, "a must be an integer, got 'x'"),
+    ('fun linplus 0 1 1 x 2', 5, "b must be an integer, got 'x'"),
+    ('fun linplus 0 1 1 -1 x', 5, "c must be an integer, got 'x'"),
+    ('fun linplus 9 1 1 -1 2', 5, 'unknown variable id 9'),
+    ('fun linplus 0 9 1 -1 2', 5, 'unknown variable id 9'),
+    ('fun linplus 0 0 1 -1 2', 5, 'binary function needs two distinct variables'),
+    ('fun linplus', 5, "expected 'fun linplus <i> <j> <a> <b> <c>'"),
+    ('fun spacer 0 1 1 2 3 4', 5, "expected 'fun spacer <i> <j> <d1> <d2> <d3> <d4> <slope>'"),
+    ('fun spacer 0 1 1 2 3 4 1 7', 5, "expected 'fun spacer <i> <j> <d1> <d2> <d3> <d4> <slope>'"),
+    ('fun spacer x 1 1 2 3 4 1', 5, "variable id must be an integer, got 'x'"),
+    ('fun spacer 0 x 1 2 3 4 1', 5, "variable id must be an integer, got 'x'"),
+    ('fun spacer 0 1 x 2 3 4 1', 5, "d1 must be an integer, got 'x'"),
+    ('fun spacer 0 1 1 x 3 4 1', 5, "d2 must be an integer, got 'x'"),
+    ('fun spacer 0 1 1 2 x 4 1', 5, "d3 must be an integer, got 'x'"),
+    ('fun spacer 0 1 1 2 3 x 1', 5, "d4 must be an integer, got 'x'"),
+    ('fun spacer 0 1 1 2 3 4 x', 5, "slope must be an integer, got 'x'"),
+    ('fun spacer 9 1 1 2 3 4 1', 5, 'unknown variable id 9'),
+    ('fun spacer 0 9 1 2 3 4 1', 5, 'unknown variable id 9'),
+    ('fun spacer 0 0 1 2 3 4 1', 5, 'binary function needs two distinct variables'),
+    ('fun spacer', 5, "expected 'fun spacer <i> <j> <d1> <d2> <d3> <d4> <slope>'"),
+    ('fun funceq 0 1 0', 5, 'alpha 0 outside [1, 5]'),
+    ('fun funceq 0 1 6', 5, 'alpha 6 outside [1, 5]'),
+    ('fun funceq 0 1 -1 2 3', 5, 'alpha -1 outside [1, 5]'),
+    ('fun funceq 0 1 0 x 1', 5, "p must be an integer, got 'x'"),
+    ('fun antifuncneq 0 1 0', 5, 'alpha 0 outside [1, 5]'),
+    ('fun antifuncneq 0 1 6 0 0', 5, 'alpha 6 outside [1, 5]'),
+    ('fun antifuncneq 0 1 0 1', 5, "expected 'fun antifuncneq <i> <j> <alpha> [p q]'"),
+    ('fun monoleq 0 1 0 -1', 5, 'alpha -1 outside [0, 5]'),
+    ('fun monoleq 0 1 0 6', 5, 'alpha 6 outside [0, 5]'),
+    ('fun monoleq 0 1 x 6', 5, "delta must be an integer, got 'x'"),
+    ('fun monoleq 9 1 0 6', 5, 'unknown variable id 9'),
+    ('fun spacer 0 1 2 1 3 4 1', 5, 'spacer breakpoints must be ordered, got (2, 1, 3, 4)'),
+    ('fun spacer 0 1 1 3 2 4 1', 5, 'spacer breakpoints must be ordered, got (1, 3, 2, 4)'),
+    ('fun spacer 0 1 1 2 4 3 1', 5, 'spacer breakpoints must be ordered, got (1, 2, 4, 3)'),
+    ('fun spacer 0 1 1 2 3 4 0', 5, 'spacer slope must be positive, got 0'),
+    ('fun spacer 0 1 1 2 3 4 -3', 5, 'spacer slope must be positive, got -3'),
+    ('fun spacer 0 1 4 3 2 1 0', 5, 'spacer breakpoints must be ordered, got (4, 3, 2, 1)'),
+    ('fun spacer 0 1 4 3 2 1 x', 5, "slope must be an integer, got 'x'"),
+    ('fun spacer 0 0 4 3 2 1 1', 5, 'binary function needs two distinct variables'),
+    ('fun linplus 0 1 1 1 1.5', 5, "c must be an integer, got '1.5'"),
+]
+
+
+@pytest.mark.parametrize("line,lineno,message", MALFORMED_FUN)
+def test_malformed_fun_lines(line, lineno, message):
+    with pytest.raises(ParseError) as err:
+        parse_text(f"wcsp t\nk 5\nvar 0 0 3\nvar 1 0 3\n{line}\nvar 2 0 0\n")
+    assert (err.value.lineno, err.value.message) == (lineno, message)
+
+
 def test_semiconvex_tag_cap_refused():
     text = (
         "wcsp t\nk 5\nvar 0 0 2000\nvar 1 0 2\n"
@@ -193,3 +310,65 @@ def test_parse_peak_memory_stays_below_twice_the_instance(make_text):
         tracemalloc.stop()
     assert inst.functions
     assert peak < 2 * size, (peak, size)
+
+
+# -- text round trip of the non-table kinds ------------------------------
+
+_ints = st.integers(-10**6, 10**6)
+
+
+def _map_kind(cls):
+    # `p q` at their defaults half of the time, so both text forms occur.
+    return lambda k: st.builds(
+        cls,
+        st.integers(1, k),
+        st.one_of(st.just(1), _ints),
+        st.one_of(st.just(0), _ints),
+    )
+
+
+def _spacer(k):
+    return st.builds(
+        lambda ds, slope: Spacer(*sorted(ds), slope),
+        st.lists(_ints, min_size=4, max_size=4),
+        st.integers(1, 10**6),
+    )
+
+
+KIND_STRATEGIES = [
+    _map_kind(FunctionalEq),
+    _map_kind(AntiFunctionalNeq),
+    lambda k: st.builds(MonoLeq, _ints, st.integers(0, k)),
+    lambda k: st.builds(LinPlus, _ints, _ints, _ints),
+    _spacer,
+]
+
+
+@st.composite
+def non_table_instances(draw):
+    k = draw(st.sampled_from([1, 7, 1000, INFINITY]))
+    n = draw(st.integers(2, 4))
+    variables = []
+    for i in range(n):
+        lb = draw(_ints)
+        variables.append(Variable(i, Domain(lb, lb + draw(st.integers(0, 5)))))
+    functions = []
+    for _ in range(draw(st.integers(1, 6))):
+        scope = tuple(draw(st.permutations(range(n)))[:2])
+        kind = draw(draw(st.sampled_from(KIND_STRATEGIES))(k))
+        functions.append(CostFunction(scope=scope, kind=kind))
+    return Instance("t", ValuationStructure(k), variables, functions)
+
+
+@given(inst=non_table_instances())
+def test_non_table_kinds_round_trip(inst):
+    text = emit(inst)
+    assert parse_text(text) == inst
+    # Fields in order after the scope; `p q` left out only at (1, 0).
+    for fn, line in zip(inst.functions, text.splitlines()[-len(inst.functions):]):
+        kind = fn.kind
+        want = ["fun", kind.name, *map(str, fn.scope)]
+        want += [str(getattr(kind, f.name)) for f in fields(kind)]
+        if isinstance(kind, (FunctionalEq, AntiFunctionalNeq)) and (kind.p, kind.q) == (1, 0):
+            want = want[:-2]
+        assert line.split() == want

@@ -1,0 +1,39 @@
+"""Smoke tests for scripts/: each runs as a subprocess and prints its table."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_domain_scaling_cells_do_not_grow():
+    lines = _run("domain_scaling.py", "--widths", "1000", "10000")
+    assert lines[0].split() == ["L", "cells", "deletions", "w0", "ms", "value", "mode"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["1000", "10000"]
+    assert len({row[1] for row in rows}) == 1
+
+
+def test_compare_consistencies_runs():
+    lines = _run("compare_consistencies.py", "--seeds", "1")
+    assert lines[0].split() == ["instance", "mode", "w0", "empty", "nodes", "backtracks", "ms"]
+    rows = [line.split() for line in lines[2:] if line]
+    assert [row[1] for row in rows] == ["nc", "ac", "bac", "bac0"]

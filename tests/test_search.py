@@ -82,8 +82,6 @@ def _trailed(st):
         [(d.lb, d.ub, None if d.removed is None else sorted(d.removed)) for d in st.domains],
         st.w_zero,
         [ov.delta_shift for ov in st.overlays],
-        list(st.w_inf),
-        list(st.w_sup),
         [list(row) for row in st.delta_inf],
         [list(row) for row in st.delta_sup],
         None if st.unary is None else [list(arr) for arr in st.unary],
