@@ -165,27 +165,19 @@ class ExtTable:
         # Iterate whichever of (box tuples, stored entries) is smaller; either
         # way the number of lookups stays within the box volume. The sparse
         # path is what keeps huge sparse unary tables affordable.
+        if len(box) == 2:
+            return self._binary_min(box, shift, ov)
         table, default = self.table, self.default
         ranges = [range(lo, hi + 1) for lo, hi in box]
         vol = 1
         for r in ranges:
             vol *= len(r)
         if len(table) < vol:
-            if len(box) == 2:
-                ri, rj = ranges
-                inside = [c for (vi, vj), c in table.items() if vi in ri and vj in rj]
-            else:
-                inside = [
-                    c for values, c in table.items()
-                    if all(w in r for w, r in zip(values, ranges))
-                ]
-            ov.eval_count += len(inside)
-            best = min(inside) if inside else None
-            if len(inside) < vol:
-                ov.eval_count += 1  # the default cost is reachable inside the box
-                if best is None or default < best:
-                    best = default
-            return best
+            inside = [
+                c for values, c in table.items()
+                if all(w in r for w, r in zip(values, ranges))
+            ]
+            return self._entries_min(inside, vol, ov)
         get = table.get
         best = None
         n = 0
@@ -197,6 +189,40 @@ class ExtTable:
                 if best <= shift:
                     break
         ov.eval_count += n
+        return best
+
+    def _binary_min(self, box, shift, ov) -> int:
+        # `box_min` on two ranges, looped over directly: the common case.
+        (ilo, ihi), (jlo, jhi) = box
+        table = self.table
+        width = jhi - jlo + 1
+        vol = (ihi - ilo + 1) * width
+        if len(table) < vol:
+            inside = [
+                c for (vi, vj), c in table.items() if ilo <= vi <= ihi and jlo <= vj <= jhi
+            ]
+            return self._entries_min(inside, vol, ov)
+        get, default = table.get, self.default
+        best = None
+        for vi in range(ilo, ihi + 1):
+            for vj in range(jlo, jhi + 1):
+                c = get((vi, vj), default)
+                if best is None or c < best:
+                    best = c
+                    if best <= shift:
+                        ov.eval_count += (vi - ilo) * width + vj - jlo + 1
+                        return best
+        ov.eval_count += vol
+        return best
+
+    def _entries_min(self, inside, vol: int, ov) -> int:
+        # The minimum over the table entries inside a box of `vol` tuples.
+        ov.eval_count += len(inside)
+        best = min(inside) if inside else None
+        if len(inside) < vol:
+            ov.eval_count += 1  # the default cost is reachable inside the box
+            if best is None or self.default < best:
+                best = self.default
         return best
 
     def _semiconvex_min(self, scope, box, shift, ov) -> int:

@@ -46,7 +46,7 @@ from .core import (
     ValuationStructure,
     Variable,
 )
-from .costfn import KINDS, CostFunction, ExtTable, validate_semiconvex
+from .costfn import KINDS, CostFunction, ExtTable
 from .network import Instance
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -307,17 +307,15 @@ def _apply_tag(functions, lineno, toks, val, variables) -> None:
     if fn.kind.semiconvex is not None:
         raise ParseError(lineno, "function already carries a semiconvex tag")
     wrt = _int(toks[2], lineno, "variable id")
-    if wrt not in fn.scope:
-        raise ParseError(lineno, f"variable {wrt} is not in the function's scope {fn.scope}")
-    if fn.arity != 2:
-        raise ParseError(lineno, "semiconvex tags apply to binary functions")
+    kind = replace(fn.kind, semiconvex=(wrt, toks[3]))
+    # The tagged table checks its own scope, axis and contiguity; a failure
+    # is reported on the tag line.
     bounds = {v: (variables[v].domain.lb, variables[v].domain.ub) for v in fn.scope}
-    ok, witness = validate_semiconvex(fn, bounds, wrt, toks[3], val)
-    if not ok:
-        raise ParseError(
-            lineno, f"table is not semi-convex w.r.t. variable {wrt}: witness {witness}"
-        )
-    functions[-1] = replace(fn, kind=replace(fn.kind, semiconvex=(wrt, toks[3])))
+    try:
+        kind.check(fn.scope, bounds, val)
+    except ContractError as exc:
+        raise ParseError(lineno, str(exc))
+    functions[-1] = replace(fn, kind=kind)
 
 
 def parse_path(path: str) -> Instance:

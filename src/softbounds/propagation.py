@@ -17,6 +17,29 @@ This is equivalent to the saturating update-and-test formulation (a
 saturated sum always fires the prune that resets the row) and stays
 well-defined when search tightens the top mid-run.
 
+The interval queue carries side events: a queued variable holds the mask
+of its bounds that moved. `prune` queues the side it deleted, `narrow` the
+sides it moved, and touched variables not queued yet get both. A variable's
+own entries on one side depend only on that bound and on the other scope
+variables' boxes, so popping it recomputes them on the moved sides only,
+unless another scope variable of the function is still queued (an entry
+may be stale) or the function's shift was just raised (every entry is too
+high). The other scope variables are revised on both sides. A side that
+`narrow` did not move keeps its row, which stays exact; the next pop tests
+it entry by entry, as a zeroed row is tested while it is rebuilt, and the
+sweep over every bound skips it until then. So every entry skipped is exact
+and every prune fires when it would if both sides of every popped variable
+were recomputed from zeroed rows: deletions, projections, queue pops and
+the order of trace events are the same, and only lookups fall.
+
+During search, `resume_bounds` sweeps every bound only when k - w_zero fell
+below its value at the last completed fixpoint, kept in the trailed
+`fixpoint_slack`; otherwise no row outside the queue can fire. Backward
+checking projects only the functions whose scope has just become fully
+assigned, found through the trailed per-variable `assigned` flags. A
+`deadline` on the state is checked every DEADLINE_POPS queue pops, so a
+time limit holds inside one long fixpoint.
+
 On a wipeout the interval engines normalize the state to the closure of an
 inconsistent network: every domain empty, and for the projecting engine the
 constant term and every shift saturated. This is what makes the enforcement
@@ -26,6 +49,7 @@ outcome independent of the queue schedule even on inconsistent inputs.
 from __future__ import annotations
 
 import random
+import time
 from collections import deque
 from dataclasses import dataclass
 from operator import setitem
@@ -50,6 +74,22 @@ AC_VALUE_CAP = 65536
 # The two bounds of a domain, as the `side` argument of `prune`; code that
 # picks a bound by side tests `if side` for SUP.
 INF, SUP = 0, 1
+
+# A queued variable's events: bit `1 << side` is set when that bound moved,
+# and bit `RETEST << side` when `narrow` kept that side's row (see `narrow`).
+BOTH = 1 << INF | 1 << SUP
+RETEST = 4
+# The sides named by each event mask.
+_SIDES = ((), (INF,), (SUP,), (INF, SUP))
+
+# A state's deadline is compared with the clock once every this many pops.
+DEADLINE_POPS = 64
+
+
+class LimitReached(Exception):
+    """A search limit was reached. Raised inside a fixpoint when the state's
+    deadline has passed, which leaves the state mid-fixpoint for the
+    caller's trail to undo; the search also raises it between nodes."""
 
 
 def state_mode(consistency: str) -> str:
@@ -93,7 +133,9 @@ class PropState:
     `w_zero`, a shift) and `_set_member` for an interior removal.
 
     `trace`, a list or any object with an `append` method, receives one
-    event dict per deletion or projection as it happens.
+    event dict per deletion or projection as it happens. `deadline`, a
+    `time.perf_counter()` value or None, makes the fixpoint loops raise
+    `LimitReached` once it has passed.
     """
 
     def __init__(
@@ -126,10 +168,16 @@ class PropState:
         self._caches = (self.delta_inf, self.delta_sup)
         self.overlays = [FunctionOverlay() for _ in inst.functions]
         self.queue: deque = deque()
-        self.in_queue = [False] * n
+        self.in_queue = [0] * n  # event mask of each variable; 0 when not queued
         self.pop_rng = pop_rng
         self.trail: Optional[list] = [] if record_trail else None
         self.trace = trace
+        self.deadline: Optional[float] = None
+        # Backward checking: variables already seen assigned on this branch.
+        self.assigned = [False] * n
+        # k - w_zero when the last resume completed: no untouched row reaches
+        # it. The all-zero rows of a new state reach nothing below k - w_zero.
+        self.fixpoint_slack = self.k - self.w_zero
         self.stats = PropStats()
         self.unary: Optional[List[List[int]]] = None
         self.base_lb: Optional[List[int]] = None
@@ -226,17 +274,20 @@ class PropState:
 
     # -- queue -------------------------------------------------------------
 
-    def _push(self, xi: int) -> None:
-        if not self.in_queue[xi]:
-            self.in_queue[xi] = True
+    def _push(self, xi: int, events: int = BOTH) -> None:
+        queued = self.in_queue[xi]
+        if not queued:
             self.queue.append(xi)
+        self.in_queue[xi] = queued | events
 
-    def _pop(self) -> int:
+    def _pop(self) -> Tuple[int, int]:
+        """The next variable and its event mask."""
         if self.pop_rng is not None and len(self.queue) > 1:
             self.queue.rotate(-self.pop_rng.randrange(len(self.queue)))
         xi = self.queue.popleft()
-        self.in_queue[xi] = False
-        return xi
+        events = self.in_queue[xi]
+        self.in_queue[xi] = 0
+        return xi, events
 
     def _queue_all(self) -> None:
         for xi in range(len(self.domains)):
@@ -244,7 +295,12 @@ class PropState:
 
     def _clear_queue(self) -> None:
         while self.queue:
-            self.in_queue[self.queue.popleft()] = False
+            self.in_queue[self.queue.popleft()] = 0
+
+    def _check_deadline(self) -> None:
+        # Called every DEADLINE_POPS pops, and only when a deadline is set.
+        if time.perf_counter() > self.deadline:
+            raise LimitReached
 
     # -- observation helpers ------------------------------------------------
 
@@ -266,6 +322,7 @@ class PropState:
         cells += sum(len(row) for row in self.delta_sup)
         cells += len(self.overlays)
         cells += len(self.in_queue)
+        cells += len(self.assigned)
         if self.unary is not None:
             cells += sum(len(a) for a in self.unary)
         if self.pair_proj is not None:
@@ -315,10 +372,6 @@ class PropState:
         b1 = self.base_lb[fn.scope[1]]
         return raw - p0[values[0] - b0] - p1[values[1] - b1]
 
-    def _trace(self, **event) -> None:
-        if self.trace is not None:
-            self.trace.append(event)
-
 
 # ----------------------------------------------------------------------
 # Interval engines
@@ -366,8 +419,8 @@ def prune(st: PropState, xi: int, side: int) -> bool:
     """Delete the bound of xi on `side` (INF or SUP) if its combined pinned
     cost reaches the top.
 
-    Resets the variable's caches on that side, which are recomputed when it
-    is popped again.
+    Resets the variable's caches on that side and queues the variable with
+    that side's event, so they are recomputed when it is popped.
     """
     d = st.domains[xi]
     if d.is_empty:
@@ -375,44 +428,65 @@ def prune(st: PropState, xi: int, side: int) -> bool:
     if st.w_zero + sum(st._caches[side][xi]) < st.k:
         return False
     v = d.ub if side else d.lb
-    st._trace(event="delete", var=xi, bound="sup" if side else "inf", value=v, amount=1)
+    if st.trace is not None:
+        st.trace.append(
+            {"event": "delete", "var": xi, "bound": "sup" if side else "inf", "value": v, "amount": 1}
+        )
     st.stats.deletions += 1
     _slide(st, xi, side, v - 1 if side else v + 1)
     _zero_caches(st, xi, side)
+    st._push(xi, 1 << side)
     return True
 
 
+def _retest(st: PropState, xi: int, side: int, slot: int) -> bool:
+    """`prune` as if the row were being rebuilt from zero and had reached
+    `slot`: only the entries up to it count."""
+    if st.w_zero + sum(st._caches[side][xi][: slot + 1]) < st.k:
+        return False
+    return prune(st, xi, side)
+
+
 def _prune_all(st: PropState) -> bool:
-    """Prune both bounds of every variable, queueing those that moved;
-    returns True on wipeout."""
+    """Prune both bounds of every variable, except the sides kept by
+    `narrow` that are still waiting for their re-test; returns True on
+    wipeout."""
+    in_queue = st.in_queue
     for xi in range(len(st.domains)):
         for side in (INF, SUP):
-            if prune(st, xi, side):
-                st._push(xi)
-                if st.domains[xi].is_empty:
-                    st._clear_queue()
-                    return True
+            if in_queue[xi] & RETEST << side:
+                continue
+            if prune(st, xi, side) and st.domains[xi].is_empty:
+                st._clear_queue()
+                return True
     return False
 
 
 def narrow(st: PropState, xi: int, lo: int, hi: int) -> None:
     """Intersect the domain of xi with [lo, hi], as a search branch does.
 
-    In interval mode the variable's own bound caches refer to the old bounds
-    and would be unsound to prune with; they are zeroed, and resuming with xi
-    touched recomputes them.
+    In interval mode the variable's caches on each side that moved refer to
+    the old bound and would be unsound to prune with; they are zeroed, and
+    the variable is queued with those sides' events. A side that did not
+    move keeps its row, whose entries stay exact, and is queued for a
+    re-test: its next revision tests it slot by slot as if the row were
+    being rebuilt from zero, and the sweep over every bound skips it until
+    then. Deletions then come in the order of zeroing and recomputing both
+    rows, without the lookups.
     """
     d = st.domains[xi]
     lo = max(d.lb, lo)
     hi = min(d.ub, hi)
+    moved = (lo > d.lb) | (hi < d.ub) << 1
     if d.removed:
         for v in [w for w in d.removed if w < lo or w > hi]:
             st._rm_discard(xi, v)
     _slide(st, xi, INF, lo)
     _slide(st, xi, SUP, hi)
     if st.mode == "interval":
-        _zero_caches(st, xi, INF)
-        _zero_caches(st, xi, SUP)
+        for side in _SIDES[moved]:
+            _zero_caches(st, xi, side)
+        st._push(xi, moved | (BOTH & ~moved) * RETEST)
 
 
 def project_to_zero(st: PropState, fi: int) -> bool:
@@ -428,7 +502,8 @@ def project_to_zero(st: PropState, fi: int) -> bool:
     if alpha == 0:
         return False
     st.stats.projections += 1
-    st._trace(event="project", fn=fi, amount=alpha)
+    if st.trace is not None:
+        st.trace.append({"event": "project", "fn": fi, "amount": alpha})
     ov = st.overlays[fi]
     st._set_attr(st, "w_zero", min(st.k, st.w_zero + alpha))
     st._set_attr(ov, "delta_shift", min(st.val.k, ov.delta_shift + alpha))
@@ -436,30 +511,71 @@ def project_to_zero(st: PropState, fi: int) -> bool:
 
 
 def _bound_loop(st: PropState, project: bool) -> bool:
-    """Queue-driven fixpoint; returns True when the network wiped out."""
+    """Queue-driven fixpoint; returns True when the network wiped out.
+
+    Popping xj revises every incident function: the other scope variables
+    on both sides, and xj's own entries on the sides that moved (at the pop
+    or since). xj's other side is revised too when an entry there may be
+    stale, because another scope variable is still queued, or too high,
+    because the function's shift was just raised. A side kept by `narrow`
+    is tested with `_retest` at each slot instead of `prune`.
+    """
     functions = st.instance.functions
+    caches = st._caches
+    in_queue = st.in_queue
+    stats = st.stats
     while st.queue:
-        xj = st._pop()
-        st.stats.queue_pops += 1
+        xj, events = st._pop()
+        moved, retest = events & BOTH, events // RETEST
+        stats.queue_pops += 1
+        if st.deadline is not None and not stats.queue_pops % DEADLINE_POPS:
+            st._check_deadline()
         flag = False
         for fi in st.incident[xj]:
-            if project:
-                if project_to_zero(st, fi):
-                    flag = True
-                    if st.w_zero >= st.k:
-                        st._clear_queue()
-                        return True
-            for xi in functions[fi].scope:
+            scope = functions[fi].scope
+            # Every entry of a function whose shift was raised is too high.
+            raised = project and project_to_zero(st, fi)
+            if raised:
+                flag = True
+                if st.w_zero >= st.k:
+                    st._clear_queue()
+                    return True
+            for xi in scope:
                 slot = st.slot_of[xi][fi]
                 d = st.domains[xi]
-                for side in (INF, SUP):
-                    alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
-                    st._set_cell(st._caches[side][xi], slot, alpha)
-                    if prune(st, xi, side):
-                        st._push(xi)
-                        if d.is_empty:
+                if xi != xj:
+                    for side in (INF, SUP):
+                        alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
+                        st._set_cell(caches[side][xi], slot, alpha)
+                        if prune(st, xi, side) and d.is_empty:
                             st._clear_queue()
                             return True
+                    continue
+                partial = retest & ~in_queue[xj]
+                sides = BOTH
+                if not raised:
+                    sides = moved | in_queue[xj]
+                    if sides != BOTH:
+                        # The other side's entry is stale if another scope
+                        # variable is still queued; in a binary scope that is
+                        # the variable at scope[0] + scope[1] - xj.
+                        if len(scope) == 2:
+                            stale = in_queue[scope[0] + scope[1] - xj]
+                        else:
+                            stale = any(in_queue[v] for v in scope if v != xj)
+                        if stale:
+                            sides = BOTH
+                for side in _SIDES[sides | partial]:
+                    if sides >> side & 1:
+                        alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
+                        st._set_cell(caches[side][xi], slot, alpha)
+                    if partial >> side & 1:
+                        fired = _retest(st, xi, side, slot)
+                    else:
+                        fired = prune(st, xi, side)
+                    if fired and d.is_empty:
+                        st._clear_queue()
+                        return True
         # The constant term grew: every bound must be re-checked.
         if project and flag and _prune_all(st):
             return True
@@ -518,12 +634,26 @@ def enforce_bac_zero(st: PropState) -> ConsistencyReport:
 
 
 def _backward_check(st: PropState, project_assigned) -> bool:
-    """Backward checking: move the cost of every fully assigned function
-    onto w_zero with `project_assigned(st, fi)`. Returns whether anything
-    moved; stops early once w_zero reaches the top."""
+    """Backward checking: move the cost of every function whose scope has
+    just become fully assigned onto w_zero with `project_assigned(st, fi)`,
+    in function order.
+
+    Variables are flagged in the trailed `assigned` list the first time a
+    pass sees them assigned, so only the functions of newly flagged
+    variables are tested; those fully assigned earlier on the branch were
+    projected then and cost nothing more. Returns whether anything moved;
+    stops early once w_zero reaches the top.
+    """
+    assigned = st.assigned
+    fresh = set()
+    for xi, d in enumerate(st.domains):
+        if d.lb == d.ub and not assigned[xi]:
+            st._set_cell(assigned, xi, True)
+            fresh.update(st.incident[xi])
     moved = False
-    for fi, fn in enumerate(st.instance.functions):
-        if all(st.domains[v].lb == st.domains[v].ub for v in fn.scope):
+    functions = st.instance.functions
+    for fi in sorted(fresh):
+        if all(assigned[v] for v in functions[fi].scope):
             if project_assigned(st, fi):
                 moved = True
                 if st.w_zero >= st.k:
@@ -546,23 +676,32 @@ def _project_assigned_bounds(st: PropState, fi: int) -> bool:
 def resume_bounds(st: PropState, project: bool, touched: List[int]) -> bool:
     """Re-establish the fixpoint after search narrowed some domains.
 
-    Caches of untouched variables are still valid lower bounds (boxes only
-    shrank), so a global prune sweep with cached sums is sound; touched
-    variables must have had their caches reset, as `narrow` does. Without
-    projection, fully assigned functions contribute their cost to the
-    constant term (backward checking) until nothing moves. Returns True on
-    wipeout, leaving the state un-normalized for the trail to undo.
+    `narrow` queues what it changed. Touched variables it did not queue must
+    have had their caches reset and are revised on both sides (the root
+    passes every variable). Caches of untouched variables are still valid
+    lower bounds (boxes only shrank), and none of them fired at the last
+    completed fixpoint, against a slack k - w_zero kept in the trailed
+    `fixpoint_slack`; so the prune sweep over every bound runs only when
+    the slack has fallen below that value, as after a new incumbent.
+    Without projection, fully assigned functions contribute their cost to
+    the constant term (backward checking) until nothing moves. Returns True
+    on wipeout, leaving the state un-normalized for the trail to undo.
     """
     st._require_interval()
     for xi in touched:
-        st._push(xi)
+        if not st.in_queue[xi]:
+            st._push(xi)
     while True:
-        if st.w_zero >= st.k:
+        slack = st.k - st.w_zero
+        if slack <= 0:
             st._clear_queue()
             return True
-        if _prune_all(st) or _bound_loop(st, project):
+        if slack < st.fixpoint_slack and _prune_all(st):
+            return True
+        if _bound_loop(st, project):
             return True
         if project or not _backward_check(st, _project_assigned_bounds):
+            st._set_attr(st, "fixpoint_slack", st.k - st.w_zero)
             return False
 
 
@@ -585,7 +724,8 @@ def project_unary(st: PropState, xi: int) -> bool:
         return False
     valk = st.val.k
     st.stats.projections += 1
-    st._trace(event="project_unary", var=xi, amount=m)
+    if st.trace is not None:
+        st.trace.append({"event": "project_unary", "var": xi, "amount": m})
     if m >= valk:
         # Every live value is intolerable; deletions will wipe the domain.
         st._set_attr(st, "w_zero", st.k)
@@ -600,7 +740,8 @@ def project_unary(st: PropState, xi: int) -> bool:
 def _delete_value(st: PropState, xi: int, v: int) -> None:
     d = st.domains[xi]
     st.stats.deletions += 1
-    st._trace(event="delete", var=xi, bound="value", value=v, amount=1)
+    if st.trace is not None:
+        st.trace.append({"event": "delete", "var": xi, "bound": "value", "value": v, "amount": 1})
     if v == d.lb:
         _slide(st, xi, INF, v + 1)
     elif v == d.ub:
@@ -668,7 +809,10 @@ def _project_binary_one(st: PropState, fi: int, xi: int, vi: int) -> bool:
             if m == 0:
                 return False
     st.stats.projections += 1
-    st._trace(event="project_binary", fn=fi, var=xi, value=vi, amount=m)
+    if st.trace is not None:
+        st.trace.append(
+            {"event": "project_binary", "fn": fi, "var": xi, "value": vi, "amount": m}
+        )
     i = vi - st.base_lb[xi]
     arr = st.unary[xi]
     if m >= valk:
@@ -706,9 +850,12 @@ def _ac_loop(st: PropState) -> bool:
     """One queue-driven revision wave; True on wipeout."""
     n = len(st.domains)
     functions = st.instance.functions
+    stats = st.stats
     while st.queue:
-        xj = st._pop()
-        st.stats.queue_pops += 1
+        xj, _ = st._pop()
+        stats.queue_pops += 1
+        if st.deadline is not None and not stats.queue_pops % DEADLINE_POPS:
+            st._check_deadline()
         w0_before = st.w_zero
         for fi in st.incident[xj]:
             fn = functions[fi]
@@ -788,7 +935,8 @@ def _project_assigned_values(st: PropState, fi: int) -> bool:
     if eff == 0:
         return False
     st.stats.projections += 1
-    st._trace(event="project", fn=fi, amount=eff)
+    if st.trace is not None:
+        st.trace.append({"event": "project", "fn": fi, "amount": eff})
     st._set_attr(st, "w_zero", min(st.k, st.w_zero + eff))
     st._set_attr(ov, "delta_shift", min(valk, ov.delta_shift + eff))
     return True

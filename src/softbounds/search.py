@@ -22,6 +22,7 @@ from .costfn import raw_cost  # noqa: F401
 from .network import Instance, total_cost
 from .propagation import (
     AC_VALUE_CAP,
+    LimitReached,
     PropState,
     narrow,
     resume_bounds,
@@ -52,10 +53,6 @@ class SearchResult:
     incumbents: List[int] = field(default_factory=list)
 
 
-class _Limit(Exception):
-    pass
-
-
 class _Searcher:
     def __init__(self, inst: Instance, opts: SearchOptions, st: PropState):
         self.inst = inst
@@ -66,14 +63,16 @@ class _Searcher:
         self.best_cost: Optional[int] = None
         self.best_assignment: Optional[Dict[int, int]] = None
         self.incumbents: List[int] = []
-        self.t0 = time.perf_counter()
+        if opts.time_limit is not None:
+            # The fixpoint loops check it too, so one long fixpoint stops.
+            st.deadline = time.perf_counter() + opts.time_limit
 
     def run(self) -> str:
         status = "optimal"
         mark = self.st.mark()
         try:
             self._node(0, touched=list(range(len(self.st.domains))))
-        except _Limit:
+        except LimitReached:
             status = "limit"
         finally:
             self.st.undo_to(mark)
@@ -83,12 +82,10 @@ class _Searcher:
 
     def _check_limits(self) -> None:
         if self.opts.node_limit is not None and self.nodes >= self.opts.node_limit:
-            raise _Limit
-        if (
-            self.opts.time_limit is not None
-            and time.perf_counter() - self.t0 > self.opts.time_limit
-        ):
-            raise _Limit
+            raise LimitReached
+        deadline = self.st.deadline
+        if deadline is not None and time.perf_counter() > deadline:
+            raise LimitReached
 
     def _enforce(self, touched: List[int]) -> bool:
         c = self.opts.consistency

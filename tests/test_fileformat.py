@@ -115,7 +115,7 @@ NEGATIVE = [
     ("wcsp t\nk 5\nvar 0 0 1\ntag semiconvex 0 asc\n", 4, "no preceding"),
     ("wcsp t\nk 5\nvar 0 0 1\nvar 1 0 1\nfun monoleq 0 1 0 1\ntag semiconvex 0 asc\n", 6, "extensional"),
     ("wcsp t\nk 5\nvar 0 0 1\nfun ext 1 0 0 0\ntag semiconvex 0 asc\n", 5, "binary"),
-    ("wcsp t\nk 5\nvar 0 0 1\nvar 1 0 1\nfun ext 2 0 1 0 0\ntag semiconvex 9 asc\n", 6, "not in the function's scope"),
+    ("wcsp t\nk 5\nvar 0 0 1\nvar 1 0 1\nfun ext 2 0 1 0 0\ntag semiconvex 9 asc\n", 6, "variable 9 not in scope (0, 1)"),
     ("wcsp t\nk 5\nvar 0 0 x\n", 3, "integer"),
     ("wcsp t\nk 5\nw0 2\nw0 2\n", 4, "duplicate w0"),
 ]

@@ -1,7 +1,12 @@
+import hashlib
+import json
+import os
 import random
+import time
 
 import pytest
 
+from softbounds import propagation
 from softbounds.core import CapError, ContractError, Domain, ValuationStructure, Variable
 from softbounds.costfn import CostFunction, ExtTable, LinPlus
 from softbounds.network import Instance
@@ -10,6 +15,7 @@ from softbounds.propagation import (
     AC_VALUE_CAP,
     INF,
     SUP,
+    LimitReached,
     PropState,
     enforce_ac_star,
     enforce_bac,
@@ -441,6 +447,47 @@ class TestConfluence:
                 if base_joint is None:
                     base_joint = key
                 assert key == base_joint, (inst.name, schedule)
+
+
+class TestRecordedCounters:
+    def test_bound_enforcement_counters(self):
+        # Recorded with an engine that revised both bounds of every popped
+        # variable: the entries now skipped were exact and already tested, so
+        # the outcome, deletions, projections, pops and the order of the trace
+        # events stay the same under every schedule, even where a wipeout
+        # cuts the work short; lookups may only fall.
+        path = os.path.join(os.path.dirname(__file__), "engine_pins.json")
+        with open(path) as fh:
+            pins = json.load(fh)["enforce"]
+        insts = {inst.name: inst for inst in suite(40, max_volume=3000)}
+        enforcers = {"bac": enforce_bac, "bac0": enforce_bac_zero}
+        assert len(pins) == 240 and sum(1 for p in pins if p[3]) > 20
+        for name, consistency, schedule, *want, lookups in pins:
+            rng = None if schedule is None else random.Random(schedule)
+            trace = []
+            rep = enforcers[consistency](PropState(insts[name], pop_rng=rng, trace=trace))
+            lines = "".join(json.dumps(event) + "\n" for event in trace)
+            got = [rep.empty, rep.w_zero, rep.deletions, rep.projections, rep.queue_pops,
+                   hashlib.sha256(lines.encode()).hexdigest()[:16]]
+            assert got == want, (name, consistency, schedule)
+            assert sum(rep.eval_counts) <= lookups, (name, consistency, schedule)
+
+
+class TestDeadline:
+    @pytest.mark.parametrize(
+        "enforce,mode",
+        [(enforce_bac, "interval"), (enforce_bac_zero, "interval"), (enforce_ac_star, "values")],
+    )
+    def test_passed_deadline_stops_the_fixpoint(self, monkeypatch, inst_pair_tables, enforce, mode):
+        monkeypatch.setattr(propagation, "DEADLINE_POPS", 1)
+        st = PropState(inst_pair_tables, mode=mode)
+        st.deadline = time.perf_counter()
+        with pytest.raises(LimitReached):
+            enforce(st)
+        assert st.stats.queue_pops == 1
+        st = PropState(inst_pair_tables, mode=mode)
+        st.deadline = time.perf_counter() + 3600
+        assert enforce(st) == enforce(PropState(inst_pair_tables, mode=mode))
 
 
 class TestSpaceDiscipline:

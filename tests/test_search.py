@@ -1,17 +1,28 @@
+import json
+import os
 import random
+import time
 
 import pytest
 
+from softbounds import search
 from softbounds.core import CapError, ContractError, Domain, ValuationStructure, Variable
 from softbounds.costfn import CostFunction, ExtTable
+from softbounds.generators import gen_spacerchain
 from softbounds.network import Instance, total_cost
-from softbounds.oracle import brute_optimum
+from softbounds.oracle import brute_min_over_box, brute_optimum
 from softbounds.propagation import PropState, narrow, resume_bounds, resume_values
 from softbounds.search import SearchOptions, solve
 
 from helpers import binary_only, suite
 
 ALL = ("nc", "ac", "bac", "bac0")
+
+# Results recorded with an engine that revised both bounds of every popped
+# variable, swept every bound at each resume and re-tested every function in
+# backward checking. Work skipped since then must change none of them.
+with open(os.path.join(os.path.dirname(__file__), "engine_pins.json")) as _fh:
+    PINS = json.load(_fh)
 
 
 class TestExamples:
@@ -62,6 +73,33 @@ class TestAgreement:
             assert result.best_cost == want, inst.name
 
 
+class TestPinnedResults:
+    def test_bounds_search_matches_recorded_results(self, monkeypatch):
+        # Status, optimum, witness, nodes and backtracks under bac and bac0,
+        # both branchings and both variable orders, and the search's
+        # deletions, projections and queue pops; lookups may only fall.
+        states = []
+
+        def recording(*args, **kwargs):
+            states.append(PropState(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(search, "PropState", recording)
+        insts = {inst.name: inst for inst in suite(12, max_volume=3000)}
+        assert len(PINS["search"]) == 96
+        for name, consistency, branching, order, *want, lookups in PINS["search"]:
+            opts = SearchOptions(consistency=consistency, branching=branching, var_order=order)
+            r = solve(insts[name], opts)
+            stats = states[-1].stats
+            witness = None if r.best_assignment is None else [
+                r.best_assignment[i] for i in range(len(r.best_assignment))
+            ]
+            got = [r.status, r.best_cost, witness, r.nodes, r.backtracks,
+                   stats.deletions, stats.projections, stats.queue_pops]
+            assert got == want, (name, consistency, branching, order)
+            assert sum(ov.eval_count for ov in states[-1].overlays) <= lookups, name
+
+
 class TestPruningStrength:
     def test_joint_filtering_never_explores_more(self):
         for inst in suite(20, max_volume=3000):
@@ -87,7 +125,23 @@ def _trailed(st):
         None if st.unary is None else [list(arr) for arr in st.unary],
         None if st.pair_proj is None
         else {fi: (list(a), list(b)) for fi, (a, b) in st.pair_proj.items()},
+        list(st.assigned),
+        st.fixpoint_slack,
     )
+
+
+def _assert_rows_exact(st, where):
+    """Every row entry is the function's effective minimum with the variable
+    pinned at the current bound, and no bound can be pruned."""
+    for xi, d in enumerate(st.domains):
+        for side, rows in enumerate((st.delta_inf, st.delta_sup)):
+            assert st.w_zero + sum(rows[xi]) < st.k, (where, xi, side)
+            for fi in st.incident[xi]:
+                fn = st.instance.functions[fi]
+                box = {v: (st.domains[v].lb, st.domains[v].ub) for v in fn.scope}
+                box[xi] = (d.ub, d.ub) if side else (d.lb, d.lb)
+                want = brute_min_over_box(fn, box, st.val, st.overlays[fi].delta_shift)
+                assert rows[xi][st.slot_of[xi][fi]] == want, (where, xi, side, fi)
 
 
 class TestStateRestoration:
@@ -139,6 +193,42 @@ class TestStateRestoration:
                 assert _trailed(st) == want, (inst.name, consistency, len(stack))
         assert checked > 20
 
+    @pytest.mark.parametrize("consistency", ("bac", "bac0"))
+    def test_rows_exact_at_every_resume_fixpoint(self, consistency):
+        # A walk of nested narrow + resume steps with backtracks, some of
+        # which lower the top as a new incumbent does, so resumes run both
+        # with and without the sweep over every bound.
+        rng = random.Random(consistency)
+        checked = swept = 0
+        for inst in suite(25, max_volume=3000):
+            st = PropState(inst, record_trail=True)
+            empty = _resume(st, consistency, list(range(len(st.domains))))
+            marks = []
+            for step in range(14):
+                open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
+                if empty or not open_vars or (marks and rng.random() < 0.3):
+                    if not marks:
+                        break
+                    st.undo_to(marks.pop())
+                    empty = False
+                    if rng.random() < 0.5 and st.k - st.w_zero > 1:
+                        st.k -= 1
+                    open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
+                    if not open_vars:
+                        continue
+                var = rng.choice(open_vars)
+                d = st.domains[var]
+                mid = (d.lb + d.ub) // 2
+                lo, hi = rng.choice(((d.lb, mid), (mid + 1, d.ub)))
+                swept += st.k - st.w_zero < st.fixpoint_slack
+                marks.append(st.mark())
+                narrow(st, var, lo, hi)
+                empty = _resume(st, consistency, [var])
+                if not empty:
+                    _assert_rows_exact(st, (inst.name, step))
+                    checked += 1
+        assert checked > 50 and swept > 5, (checked, swept)
+
     def test_incumbents_strictly_decreasing(self):
         for inst in suite(15, max_volume=3000):
             result = solve(inst, SearchOptions(consistency="bac0"))
@@ -160,6 +250,16 @@ class TestBounds:
         result = solve(inst, SearchOptions(consistency="nc", node_limit=2))
         assert result.status == "limit"
         assert result.nodes <= 2
+
+    def test_time_limit_holds_inside_one_fixpoint(self):
+        # The second node's resume on this chain moves bounds one value per
+        # revision for about 9 s; checked only between nodes, the limit
+        # would be noticed after it.
+        inst = gen_spacerchain(m=10, L=100000, seed=4)
+        t0 = time.perf_counter()
+        result = solve(inst, SearchOptions(consistency="bac", time_limit=1))
+        assert result.status == "limit"
+        assert time.perf_counter() - t0 < 5
 
 
 class TestOptionValidation:

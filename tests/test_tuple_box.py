@@ -27,7 +27,8 @@ from helpers import _hill_row, make_kind
 KINDS = (
     "table_sparse",  # binary, far fewer entries than the unpinned box holds
     "table_sparse3",  # ternary, same
-    "table_dense3",  # ternary, every tuple listed
+    "table_dense",  # binary, every tuple listed
+    "table_dense3",  # ternary, same
     "semiconvex",
     "funceq",
     "antifuncneq",
@@ -42,6 +43,7 @@ KINDS = (
 LOOKUP_TOTALS = {
     "table_sparse": 425,
     "table_sparse3": 667,
+    "table_dense": 579,
     "table_dense3": 766,
     "semiconvex": 847,
     "funceq": 921,
@@ -100,7 +102,7 @@ def _random_function(kind_name, rng, k):
         intervals = _intervals(rng, scope, (1, 2, 3, 5, 9, 17, 33))
     if kind_name.startswith("table_sparse"):
         kind = _sparse_table(rng, scope, intervals, k)
-    elif kind_name == "table_dense3":
+    elif kind_name.startswith("table_dense"):
         kind = _dense_table(rng, scope, intervals, k)
     elif kind_name == "semiconvex":
         kind = _semiconvex_table(rng, scope, intervals, k)
@@ -167,11 +169,11 @@ def test_sparse_and_dense_table_paths_are_both_taken():
             vol *= hi - lo + 1
         return vol
 
-    for kind_name in ("table_sparse", "table_sparse3", "table_dense3"):
+    for kind_name in ("table_sparse", "table_sparse3", "table_dense", "table_dense3"):
         paths = set()
         for fn, _val, _box, _pin, _pb, tbox, _shift in _cases(kind_name, 60):
             paths.add("sparse" if len(fn.kind.table) < volume(tbox) else "dense")
-        want = {"dense"} if kind_name == "table_dense3" else {"sparse", "dense"}
+        want = {"dense"} if kind_name.startswith("table_dense") else {"sparse", "dense"}
         assert paths == want, (kind_name, paths)
 
 
