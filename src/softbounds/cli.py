@@ -235,7 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--branching", choices=("dichotomic", "enumerate"), default="dichotomic")
-    p.add_argument("--var-order", choices=("min_domain", "lex"), default="min_domain")
+    p.add_argument(
+        "--var-order",
+        choices=("min_domain", "lex"),
+        default="min_domain",
+        help="min_domain: fewest live values, ties to the most incident "
+        "functions, then the lowest id; lex: the lowest unassigned id "
+        "(dichotomic branching tries the cheaper-looking half first)",
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_solve)

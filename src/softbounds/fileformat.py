@@ -19,7 +19,9 @@ ids, tuple values outside the declared interval and costs outside [0, k]
 are all reported with their line number. The parameters of a non-table
 kind are the fields of its `costfn` class in field order, found through
 `costfn.KINDS` by directive name; the kind checks them and writes its own
-text, and a failed check is reported on the `fun` line.
+text, and a failed check is reported on the `fun` line. As every check
+that `Instance` construction makes is made here on its line, the parsed
+instance is built without making them again.
 
 Lines are cut as `str.splitlines` cuts them and tokenized on demand, one
 logical line per directive, so no token list of the whole file is ever
@@ -39,7 +41,6 @@ from typing import List, Optional, Tuple
 
 from .core import (
     INFINITY,
-    CapError,
     ContractError,
     Domain,
     ParseError,
@@ -163,18 +164,9 @@ def parse_text(text: str) -> Instance:
 
     if val is None:
         raise ParseError(1, "missing k directive")
-    try:
-        return Instance(
-            name=name,
-            valuation=val,
-            variables=variables,
-            functions=functions,
-            w_zero=w_zero,
-        )
-    except CapError:
-        raise
-    except Exception as exc:  # structural validation failures
-        raise ParseError(0, str(exc))
+    # Each check of `Instance` was made on its line above; making them again
+    # would re-scan every table and re-validate every semi-convex tag.
+    return Instance(name, val, variables, functions, w_zero, _prechecked=True)
 
 
 def _parse_fun(lines, lineno, toks, val, var_interval) -> CostFunction:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import List, Mapping
 
 from .core import (
@@ -28,8 +28,13 @@ class Instance:
     variables: List[Variable]
     functions: List[CostFunction]
     w_zero: int = 0
+    # Set only by the parser, which has made every check below on the line
+    # it read; it is not stored.
+    _prechecked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _prechecked: bool) -> None:
+        if _prechecked:
+            return
         check_cost(self.w_zero, self.valuation)
         for idx, var in enumerate(self.variables):
             if var.id != idx:

@@ -4,15 +4,16 @@ Each node re-establishes the selected consistency incrementally; the
 incumbent bound is global (tightening it is the point of the search) while
 domains, the constant term and all shift structures are restored bit-exactly
 on backtrack. Retained per-node state is the trail segment of the node's own
-changes, never a copy of anything domain-sized.
+changes, never a copy of anything domain-sized. The depth-first walk keeps
+its open nodes on an explicit stack, so branch depth is not bounded by the
+interpreter's recursion limit, which the search leaves alone.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import CapError, ContractError
 
@@ -35,6 +36,21 @@ CONSISTENCIES = ("nc", "ac", "bac", "bac0")
 
 @dataclass
 class SearchOptions:
+    """How `solve` searches.
+
+    `var_order="min_domain"` branches on a variable with fewest live values,
+    ties going to the most incident functions (dom/deg style) and then to
+    the lowest index; `"lex"` takes the first unassigned variable.
+    `branching="dichotomic"` splits the domain at its midpoint and tries
+    the cheaper-looking half first: in interval mode (bac, bac0) the upper
+    half when the cached costs of the upper bound sum below those of the
+    lower bound, in value mode (nc, ac) the half holding the lowest live
+    value of least unary cost. `"enumerate"` tries single values in
+    ascending order. These orders find good incumbents early; optima never
+    depend on them, but nodes, backtracks and, among tied optima, the
+    witness do, so they may differ from versions with other orders.
+    """
+
     consistency: str = "bac0"
     initial_ub: Optional[int] = None
     node_limit: Optional[int] = None
@@ -58,6 +74,7 @@ class _Searcher:
         self.inst = inst
         self.opts = opts
         self.st = st
+        self.degree = [len(fis) for fis in st.incident]
         self.nodes = 0
         self.backtracks = 0
         self.best_cost: Optional[int] = None
@@ -71,7 +88,7 @@ class _Searcher:
         status = "optimal"
         mark = self.st.mark()
         try:
-            self._node(0, touched=list(range(len(self.st.domains))))
+            self._dfs()
         except LimitReached:
             status = "limit"
         finally:
@@ -93,14 +110,35 @@ class _Searcher:
             return resume_bounds(self.st, project=c == "bac0", touched=touched)
         return resume_values(self.st, arc=c == "ac", touched=touched)
 
-    def _node(self, depth: int, touched: List[int]) -> None:
+    def _dfs(self) -> None:
+        """Depth-first search over an explicit stack with one entry per open
+        node: the trail mark taken after its enforcement, its branching
+        variable and an iterator over the branches it has not tried yet.
+        Each branch starts by undoing the previous one back to that mark."""
+        st = self.st
+        stack: List[Tuple[int, int, Iterator[Tuple[int, int]]]] = []
+        self._visit(list(range(len(st.domains))), stack)
+        while stack:
+            mark, var, branches = stack[-1]
+            st.undo_to(mark)
+            branch = next(branches, None)
+            if branch is None:
+                stack.pop()
+                continue
+            narrow(st, var, *branch)
+            if not st.domains[var].is_empty:
+                self._visit([var], stack)
+
+    def _visit(self, touched: List[int], stack: list) -> None:
+        """Enforce at a new node; a leaf may record an incumbent, and any
+        other consistent node is pushed open onto `stack`."""
         self._check_limits()
         self.nodes += 1
+        st = self.st
         if self._enforce(touched):
-            if depth > 0:
+            if stack:  # below the root
                 self.backtracks += 1
             return
-        st = self.st
         var = self._pick_variable()
         if var is None:
             t = {i: st.domains[i].lb for i in range(len(st.domains))}
@@ -111,36 +149,41 @@ class _Searcher:
                 self.incumbents.append(c)
                 st.k = c  # strictly-better search from here on
             return
+        stack.append((st.mark(), var, iter(self._branches(var))))
+
+    def _branches(self, var: int) -> List[Tuple[int, int]]:
+        """The `(lo, hi)` narrowings of a node in the order they are tried
+        (see `SearchOptions`). The bound rows, exact at a fixpoint, price
+        each bound; ties go to the lower half."""
+        st = self.st
         d = st.domains[var]
         if self.opts.branching == "enumerate":
-            for v in list(d.iter_values()):
-                mark = st.mark()
-                narrow(st, var, v, v)
-                self._node(depth + 1, touched=[var])
-                st.undo_to(mark)
+            return [(v, v) for v in d.iter_values()]
+        mid = (d.lb + d.ub) // 2
+        halves = [(d.lb, mid), (mid + 1, d.ub)]
+        if st.mode == "interval":
+            upper_first = sum(st.delta_sup[var]) < sum(st.delta_inf[var])
         else:
-            mid = (d.lb + d.ub) // 2
-            for lo, hi in ((d.lb, mid), (mid + 1, d.ub)):
-                mark = st.mark()
-                narrow(st, var, lo, hi)
-                if st.domains[var].is_empty:
-                    st.undo_to(mark)
-                    continue
-                self._node(depth + 1, touched=[var])
-                st.undo_to(mark)
+            arr, base = st.unary[var], st.base_lb[var]
+            upper_first = min(d.iter_values(), key=lambda v: arr[v - base]) > mid
+        if upper_first:
+            halves.reverse()
+        return halves
 
     def _pick_variable(self) -> Optional[int]:
-        st = self.st
+        """The branching variable under `var_order` (see `SearchOptions`),
+        or None when every variable is assigned."""
+        degree = self.degree
         best = None
-        best_size = None
-        for i, d in enumerate(st.domains):
+        best_key = None
+        for i, d in enumerate(self.st.domains):
             if d.lb == d.ub:
                 continue
             if self.opts.var_order == "lex":
                 return i
-            size = d.size()
-            if best_size is None or size < best_size:
-                best, best_size = i, size
+            key = (d.size(), -degree[i])
+            if best_key is None or key < best_key:
+                best, best_key = i, key
         return best
 
 
@@ -170,12 +213,6 @@ def solve(inst: Instance, opts: SearchOptions) -> SearchResult:
         if opts.initial_ub < 1:
             raise ContractError("initial upper bound must be at least 1")
         st.k = min(st.k, opts.initial_ub)
-
-    depth_bound = 100 + 3 * len(inst.variables) + sum(
-        max(1, v.domain.size()).bit_length() for v in inst.variables
-    )
-    if sys.getrecursionlimit() < depth_bound + 100:
-        sys.setrecursionlimit(depth_bound + 100)
 
     searcher = _Searcher(inst, opts, st)
     status = searcher.run()

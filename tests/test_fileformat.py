@@ -4,6 +4,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, strategies as st
 
+from softbounds import costfn
 from softbounds.core import CapError, INFINITY, Domain, ParseError, ValuationStructure, Variable
 from softbounds.costfn import (
     AntiFunctionalNeq,
@@ -79,6 +80,28 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_text(text)
         assert err.value.lineno == 8
+
+    def test_each_tag_validated_once(self, monkeypatch):
+        calls = []
+        real = costfn.validate_semiconvex
+
+        def counting(fn, bounds, wrt, order, val):
+            calls.append(fn.scope)
+            return real(fn, bounds, wrt, order, val)
+
+        monkeypatch.setattr(costfn, "validate_semiconvex", counting)
+        text = (
+            "wcsp t\nk 9\nvar 0 0 2\nvar 1 0 2\nvar 2 0 2\n"
+            "fun ext 2 0 1 0 3\n0 0 2\n0 1 1\n1 0 1\n"
+            "tag semiconvex 1 asc\n"
+            "fun ext 2 1 2 0 1\n2 2 4\n"
+            "tag semiconvex 2 desc\n"
+        )
+        inst = parse_text(text)
+        assert calls == [(0, 1), (1, 2)]
+        # Built without re-running them, the parsed instance passes the
+        # construction checks.
+        assert Instance(**vars(inst)) == inst
 
     def test_spacer_parsed(self):
         inst = parse_text("wcsp t\nk 9\nvar 0 0 5\nvar 1 0 5\nfun spacer 0 1 1 2 3 4 1\n")

@@ -1,12 +1,21 @@
 import json
 import os
 import random
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from softbounds import search
-from softbounds.core import CapError, ContractError, Domain, ValuationStructure, Variable
+from softbounds.core import (
+    INFINITY,
+    CapError,
+    ContractError,
+    Domain,
+    ValuationStructure,
+    Variable,
+)
 from softbounds.costfn import CostFunction, ExtTable
 from softbounds.generators import gen_spacerchain
 from softbounds.network import Instance, total_cost
@@ -14,13 +23,15 @@ from softbounds.oracle import brute_min_over_box, brute_optimum
 from softbounds.propagation import PropState, narrow, resume_bounds, resume_values
 from softbounds.search import SearchOptions, solve
 
-from helpers import binary_only, suite
+from helpers import SUITE_KINDS, binary_only, make_kind, suite
 
 ALL = ("nc", "ac", "bac", "bac0")
 
-# Results recorded with an engine that revised both bounds of every popped
-# variable, swept every bound at each resume and re-tested every function in
-# backward checking. Work skipped since then must change none of them.
+# The "enforce" rows were recorded with an engine that revised both bounds
+# of every popped variable, swept every bound at each resume and re-tested
+# every function in backward checking; work skipped since then must change
+# none of them. The "search" rows keep the optima of that engine, with the
+# path fields recorded under the degree tie-break and cheaper-half order.
 with open(os.path.join(os.path.dirname(__file__), "engine_pins.json")) as _fh:
     PINS = json.load(_fh)
 
@@ -71,6 +82,102 @@ class TestAgreement:
             want = opt.cost if opt.feasible else None
             result = solve(inst, SearchOptions(consistency="bac0", var_order="lex"))
             assert result.best_cost == want, inst.name
+
+
+@hs.composite
+def small_instances(draw):
+    """A random instance of at most 4 variables over at most 4 values, with
+    functions of every suite kind (ternary tables included), a finite or
+    infinite top and a constant term."""
+    n = draw(hs.integers(2, 4))
+    intervals = {}
+    for i in range(n):
+        lb = draw(hs.integers(-3, 3))
+        intervals[i] = (lb, lb + draw(hs.integers(0, 3)))
+    k = draw(hs.sampled_from((1, 2, 4, 7, INFINITY)))
+    functions = []
+    for _ in range(draw(hs.integers(1, 6))):
+        name = draw(hs.sampled_from(SUITE_KINDS))
+        if name == "ext1":
+            scope = (draw(hs.integers(0, n - 1)),)
+        elif name == "ext3" and n >= 3:
+            scope = tuple(sorted(draw(hs.permutations(range(n)))[:3]))
+        else:
+            name = "ext2" if name == "ext3" else name
+            scope = tuple(sorted(draw(hs.permutations(range(n)))[:2]))
+        rng = random.Random(draw(hs.integers(0, 2**32 - 1)))
+        functions.append(
+            CostFunction(scope=scope, kind=make_kind(name, rng, scope, intervals, k))
+        )
+    return Instance(
+        name="drawn",
+        valuation=ValuationStructure(k),
+        variables=[Variable(i, Domain(*intervals[i])) for i in range(n)],
+        functions=functions,
+        w_zero=min(k, draw(hs.sampled_from((0, 0, 1, 2)))),
+    )
+
+
+class TestBranchOrder:
+    @pytest.mark.parametrize("consistency", ALL)
+    @pytest.mark.parametrize("downhill", (True, False))
+    def test_cheaper_half_first(self, consistency, downhill):
+        # One variable over [0, 7] costing 7 - v (or v): the first dive
+        # reaches the free value, so the first incumbent is the optimum.
+        costs = {(v,): 7 - v if downhill else v for v in range(8)}
+        inst = Instance(
+            "slope",
+            ValuationStructure(10),
+            [Variable(0, Domain(0, 7))],
+            [CostFunction(scope=(0,), kind=ExtTable(default=0, table=costs))],
+        )
+        result = solve(inst, SearchOptions(consistency=consistency))
+        assert result.incumbents == [0]
+        assert result.best_assignment == {0: 7 if downhill else 0}
+
+    def test_domain_ties_go_to_the_most_incident_functions(self, monkeypatch):
+        branched = []
+        real = search.narrow
+
+        def recording(st, xi, lo, hi):
+            branched.append(xi)
+            real(st, xi, lo, hi)
+
+        monkeypatch.setattr(search, "narrow", recording)
+        table = ExtTable(default=0, table={(0, 1): 1, (1, 0): 1})
+        inst = Instance(
+            "star",
+            ValuationStructure(10),
+            [Variable(i, Domain(0, 1)) for i in range(4)],
+            [CostFunction(scope=(i, 2), kind=table) for i in (0, 1)]
+            + [CostFunction(scope=(2, 3), kind=table)],
+        )
+        solve(inst, SearchOptions(consistency="bac"))
+        assert branched[0] == 2
+
+
+class TestOracleDifferential:
+    @settings(deadline=None)
+    @given(small_instances())
+    def test_solve_matches_brute_optimum(self, inst):
+        # Every consistency, branching and variable order; the orders that
+        # pick branches change the path, never the optimum.
+        opt = brute_optimum(inst)
+        for consistency in ALL:
+            if consistency == "ac" and not binary_only(inst):
+                continue
+            for branching in ("dichotomic", "enumerate"):
+                for order in ("min_domain", "lex"):
+                    opts = SearchOptions(
+                        consistency=consistency, branching=branching, var_order=order
+                    )
+                    r = solve(inst, opts)
+                    where = (consistency, branching, order)
+                    if not opt.feasible:
+                        assert (r.status, r.best_cost) == ("infeasible", None), where
+                        continue
+                    assert (r.status, r.best_cost) == ("optimal", opt.cost), where
+                    assert total_cost(inst, r.best_assignment) == opt.cost, where
 
 
 class TestPinnedResults:
@@ -228,6 +335,52 @@ class TestStateRestoration:
                     _assert_rows_exact(st, (inst.name, step))
                     checked += 1
         assert checked > 50 and swept > 5, (checked, swept)
+
+    @pytest.mark.parametrize("consistency", ALL)
+    def test_every_undo_in_search_restores_its_mark(self, consistency, monkeypatch):
+        # A later mark at the same trail length overwrites the snapshot;
+        # the state there must be the same if everything is trailed.
+        snapshots = {}
+        undos = []
+        real_mark, real_undo = PropState.mark, PropState.undo_to
+
+        def mark(st):
+            m = real_mark(st)
+            snapshots[m] = _trailed(st)
+            return m
+
+        def undo_to(st, m):
+            real_undo(st, m)
+            assert _trailed(st) == snapshots[m], (name, m)
+            undos.append(m)
+
+        monkeypatch.setattr(PropState, "mark", mark)
+        monkeypatch.setattr(PropState, "undo_to", undo_to)
+        for inst in suite(30, max_volume=3000):
+            if consistency == "ac" and not binary_only(inst):
+                continue
+            name = inst.name
+            for branching in ("dichotomic", "enumerate"):
+                snapshots.clear()
+                solve(inst, SearchOptions(consistency=consistency, branching=branching))
+        assert len(undos) > 100
+
+    @pytest.mark.parametrize("consistency", ("bac", "bac0"))
+    def test_branch_deeper_than_the_recursion_limit(self, consistency):
+        # Dichotomic branching over 2**20 values goes 20 levels deep per
+        # variable, so the first dive runs far deeper than the limit.
+        limit = sys.getrecursionlimit()
+        n = limit // 20 + 10
+        inst = Instance(
+            "deep",
+            ValuationStructure(5),
+            [Variable(i, Domain(0, 2**20 - 1)) for i in range(n)],
+            [],
+        )
+        result = solve(inst, SearchOptions(consistency=consistency))
+        assert (result.status, result.best_cost) == ("optimal", 0)
+        assert result.nodes > 20 * n > limit
+        assert sys.getrecursionlimit() == limit
 
     def test_incumbents_strictly_decreasing(self):
         for inst in suite(15, max_volume=3000):
