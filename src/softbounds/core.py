@@ -10,7 +10,7 @@ absorbing top strictly above every representable finite cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Iterator, Mapping, Tuple
 
 # Sentinel for an unbounded top cost. Finite costs must stay strictly below
 # it, which keeps every stored cost within 64-bit range.
@@ -131,7 +131,6 @@ class Variable:
     domain: Domain
 
 
-# A (partial) assignment maps variable ids to values; a box maps the
-# variables of one scope to integer sub-intervals of their current domains.
-Assignment = Dict[int, int]
+# A box maps the variables of one scope to integer sub-intervals of their
+# current domains.
 Box = Mapping[int, Tuple[int, int]]

@@ -19,18 +19,17 @@ well-defined when search tightens the top mid-run.
 
 The interval queue carries side events: a queued variable holds the mask
 of its bounds that moved. `prune` queues the side it deleted, `narrow` the
-sides it moved, and touched variables not queued yet get both. A variable's
-own entries on one side depend only on that bound and on the other scope
-variables' boxes, so popping it recomputes them on the moved sides only,
-unless another scope variable of the function is still queued (an entry
-may be stale) or the function's shift was just raised (every entry is too
-high). The other scope variables are revised on both sides. A side that
-`narrow` did not move keeps its row, which stays exact; the next pop tests
-it entry by entry, as a zeroed row is tested while it is rebuilt, and the
-sweep over every bound skips it until then. So every entry skipped is exact
-and every prune fires when it would if both sides of every popped variable
-were recomputed from zeroed rows: deletions, projections, queue pops and
-the order of trace events are the same, and only lookups fall.
+sides it moved, and touched variables not queued yet get both. Popping a
+variable recomputes the other scope variables of its functions on both
+sides, and its own entries only on the sides that moved, at the pop or
+since, or on both sides when the function's shift was just raised (every
+entry is then too high). An entry that is not recomputed was taken over
+boxes that have only shrunk since, so it is still a lower bound; whatever
+shrank them is queued, and its pop recomputes the entry. So every row is
+exact at a fixpoint. The domains, w_zero and shifts reached, and the
+deletions of a consistent outcome, do not depend on the schedule; queue
+pops, lookups, the order of trace events and the deletions made before a
+wipeout follow the revision order.
 
 During search, `resume_bounds` sweeps every bound only when k - w_zero fell
 below its value at the last completed fixpoint, kept in the trailed
@@ -75,10 +74,8 @@ AC_VALUE_CAP = 65536
 # picks a bound by side tests `if side` for SUP.
 INF, SUP = 0, 1
 
-# A queued variable's events: bit `1 << side` is set when that bound moved,
-# and bit `RETEST << side` when `narrow` kept that side's row (see `narrow`).
+# A queued variable's events: bit `1 << side` is set when that bound moved.
 BOTH = 1 << INF | 1 << SUP
-RETEST = 4
 # The sides named by each event mask.
 _SIDES = ((), (INF,), (SUP,), (INF, SUP))
 
@@ -439,23 +436,10 @@ def prune(st: PropState, xi: int, side: int) -> bool:
     return True
 
 
-def _retest(st: PropState, xi: int, side: int, slot: int) -> bool:
-    """`prune` as if the row were being rebuilt from zero and had reached
-    `slot`: only the entries up to it count."""
-    if st.w_zero + sum(st._caches[side][xi][: slot + 1]) < st.k:
-        return False
-    return prune(st, xi, side)
-
-
 def _prune_all(st: PropState) -> bool:
-    """Prune both bounds of every variable, except the sides kept by
-    `narrow` that are still waiting for their re-test; returns True on
-    wipeout."""
-    in_queue = st.in_queue
+    """Prune both bounds of every variable; returns True on wipeout."""
     for xi in range(len(st.domains)):
         for side in (INF, SUP):
-            if in_queue[xi] & RETEST << side:
-                continue
             if prune(st, xi, side) and st.domains[xi].is_empty:
                 st._clear_queue()
                 return True
@@ -468,11 +452,8 @@ def narrow(st: PropState, xi: int, lo: int, hi: int) -> None:
     In interval mode the variable's caches on each side that moved refer to
     the old bound and would be unsound to prune with; they are zeroed, and
     the variable is queued with those sides' events. A side that did not
-    move keeps its row, whose entries stay exact, and is queued for a
-    re-test: its next revision tests it slot by slot as if the row were
-    being rebuilt from zero, and the sweep over every bound skips it until
-    then. Deletions then come in the order of zeroing and recomputing both
-    rows, without the lookups.
+    move keeps its row, whose entries are still lower bounds. Nothing is
+    queued when no bound moved.
     """
     d = st.domains[xi]
     lo = max(d.lb, lo)
@@ -483,10 +464,10 @@ def narrow(st: PropState, xi: int, lo: int, hi: int) -> None:
             st._rm_discard(xi, v)
     _slide(st, xi, INF, lo)
     _slide(st, xi, SUP, hi)
-    if st.mode == "interval":
+    if st.mode == "interval" and moved:
         for side in _SIDES[moved]:
             _zero_caches(st, xi, side)
-        st._push(xi, moved | (BOTH & ~moved) * RETEST)
+        st._push(xi, moved)
 
 
 def project_to_zero(st: PropState, fi: int) -> bool:
@@ -515,24 +496,21 @@ def _bound_loop(st: PropState, project: bool) -> bool:
 
     Popping xj revises every incident function: the other scope variables
     on both sides, and xj's own entries on the sides that moved (at the pop
-    or since). xj's other side is revised too when an entry there may be
-    stale, because another scope variable is still queued, or too high,
-    because the function's shift was just raised. A side kept by `narrow`
-    is tested with `_retest` at each slot instead of `prune`.
+    or since), or on both sides when the function's shift was just raised.
+    An entry left alone is still a lower bound, and the pop of whatever
+    shrank its box recomputes it.
     """
     functions = st.instance.functions
     caches = st._caches
     in_queue = st.in_queue
     stats = st.stats
     while st.queue:
-        xj, events = st._pop()
-        moved, retest = events & BOTH, events // RETEST
+        xj, moved = st._pop()
         stats.queue_pops += 1
         if st.deadline is not None and not stats.queue_pops % DEADLINE_POPS:
             st._check_deadline()
         flag = False
         for fi in st.incident[xj]:
-            scope = functions[fi].scope
             # Every entry of a function whose shift was raised is too high.
             raised = project and project_to_zero(st, fi)
             if raised:
@@ -540,40 +518,14 @@ def _bound_loop(st: PropState, project: bool) -> bool:
                 if st.w_zero >= st.k:
                     st._clear_queue()
                     return True
-            for xi in scope:
+            for xi in functions[fi].scope:
                 slot = st.slot_of[xi][fi]
                 d = st.domains[xi]
-                if xi != xj:
-                    for side in (INF, SUP):
-                        alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
-                        st._set_cell(caches[side][xi], slot, alpha)
-                        if prune(st, xi, side) and d.is_empty:
-                            st._clear_queue()
-                            return True
-                    continue
-                partial = retest & ~in_queue[xj]
-                sides = BOTH
-                if not raised:
-                    sides = moved | in_queue[xj]
-                    if sides != BOTH:
-                        # The other side's entry is stale if another scope
-                        # variable is still queued; in a binary scope that is
-                        # the variable at scope[0] + scope[1] - xj.
-                        if len(scope) == 2:
-                            stale = in_queue[scope[0] + scope[1] - xj]
-                        else:
-                            stale = any(in_queue[v] for v in scope if v != xj)
-                        if stale:
-                            sides = BOTH
-                for side in _SIDES[sides | partial]:
-                    if sides >> side & 1:
-                        alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
-                        st._set_cell(caches[side][xi], slot, alpha)
-                    if partial >> side & 1:
-                        fired = _retest(st, xi, side, slot)
-                    else:
-                        fired = prune(st, xi, side)
-                    if fired and d.is_empty:
+                sides = BOTH if raised or xi != xj else moved | in_queue[xj]
+                for side in _SIDES[sides]:
+                    alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
+                    st._set_cell(caches[side][xi], slot, alpha)
+                    if prune(st, xi, side) and d.is_empty:
                         st._clear_queue()
                         return True
         # The constant term grew: every bound must be re-checked.

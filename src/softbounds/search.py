@@ -49,6 +49,8 @@ class SearchOptions:
     ascending order. These orders find good incumbents early; optima never
     depend on them, but nodes, backtracks and, among tied optima, the
     witness do, so they may differ from versions with other orders.
+    `node_limit` and `time_limit` (seconds, `inf` allowed) must be at
+    least 0.
     """
 
     consistency: str = "bac0"
@@ -195,6 +197,11 @@ def solve(inst: Instance, opts: SearchOptions) -> SearchResult:
         raise ContractError(f"unknown branching {opts.branching!r}")
     if opts.var_order not in ("min_domain", "lex"):
         raise ContractError(f"unknown variable order {opts.var_order!r}")
+    # `not >= 0` also refuses NaN, which no clock reading would ever exceed.
+    if opts.time_limit is not None and not opts.time_limit >= 0:
+        raise ContractError(f"time limit must be at least 0 seconds, got {opts.time_limit}")
+    if opts.node_limit is not None and opts.node_limit < 0:
+        raise ContractError(f"node limit must be at least 0, got {opts.node_limit}")
     if opts.branching == "enumerate":
         widest = max((v.domain.size() for v in inst.variables), default=0)
         if widest > AC_VALUE_CAP:

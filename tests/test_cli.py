@@ -137,6 +137,14 @@ class TestSolve:
         assert rep["status"] == "limit" and rep["optimum"] == 2
         assert code == 0 and rep["empty"] is False
 
+    @pytest.mark.parametrize(
+        "flags", (["--time-limit", "nan"], ["--time-limit", "-1"], ["--node-limit", "-3"])
+    )
+    def test_bad_limit_exit_2(self, capsys, sum_file, flags):
+        assert main(["solve", sum_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "limit" in captured.err
+
 
 class TestGen:
     def test_emits_parseable_text(self, capsys):

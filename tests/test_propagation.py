@@ -424,12 +424,22 @@ class TestJointEnforcement:
 
 class TestConfluence:
     def test_schedules_agree(self):
+        # Domains, w_zero and shifts agree under every pop order, and so do
+        # the deletions of a consistent outcome: each is one value of the
+        # width removed.
+        def width_removed(rep):
+            return sum(
+                v.domain.size() - d.size() for v, d in zip(inst.variables, rep.domains)
+            )
+
         for inst in suite(15):
             base_bac = None
             base_joint = None
             for schedule in range(8):
                 rng = random.Random(schedule * 31 + 7) if schedule else None
                 rep = enforce_bac(PropState(inst, pop_rng=rng))
+                if not rep.empty:
+                    assert rep.deletions == width_removed(rep), (inst.name, schedule)
                 key = (rep.empty, intervals(rep))
                 if base_bac is None:
                     base_bac = key
@@ -438,6 +448,8 @@ class TestConfluence:
                 rng = random.Random(schedule * 31 + 7) if schedule else None
                 st = PropState(inst, pop_rng=rng)
                 rep = enforce_bac_zero(st)
+                if not rep.empty:
+                    assert rep.deletions == width_removed(rep), (inst.name, schedule)
                 key = (
                     rep.empty,
                     intervals(rep),
@@ -451,11 +463,11 @@ class TestConfluence:
 
 class TestRecordedCounters:
     def test_bound_enforcement_counters(self):
-        # Recorded with an engine that revised both bounds of every popped
-        # variable: the entries now skipped were exact and already tested, so
-        # the outcome, deletions, projections, pops and the order of the trace
-        # events stay the same under every schedule, even where a wipeout
-        # cuts the work short; lookups may only fall.
+        # The outcome, deletions, projections, pops and trace of this
+        # engine's schedule under each pop order. The lookup ceilings were
+        # recorded with an engine that revised more, and lookups may only
+        # fall below them; three wipeout rows, where this revision order
+        # reaches the wipeout later, carry this engine's count instead.
         path = os.path.join(os.path.dirname(__file__), "engine_pins.json")
         with open(path) as fh:
             pins = json.load(fh)["enforce"]

@@ -20,18 +20,19 @@ from softbounds.costfn import CostFunction, ExtTable
 from softbounds.generators import gen_spacerchain
 from softbounds.network import Instance, total_cost
 from softbounds.oracle import brute_min_over_box, brute_optimum
-from softbounds.propagation import PropState, narrow, resume_bounds, resume_values
+from softbounds.propagation import INF, SUP, PropState, narrow, resume_bounds, resume_values
 from softbounds.search import SearchOptions, solve
 
 from helpers import SUITE_KINDS, binary_only, make_kind, suite
 
 ALL = ("nc", "ac", "bac", "bac0")
 
-# The "enforce" rows were recorded with an engine that revised both bounds
-# of every popped variable, swept every bound at each resume and re-tested
-# every function in backward checking; work skipped since then must change
-# none of them. The "search" rows keep the optima of that engine, with the
-# path fields recorded under the degree tie-break and cheaper-half order.
+# The pins record this engine's schedule. The "enforce" rows hold each
+# fixpoint's outcome, counters and trace hash; the "search" rows hold the
+# optima, which no engine change may move, and the path fields under the
+# degree tie-break and cheaper-half order. Deletions, projections and pops
+# follow the revision order. The lookup ceilings were recorded with an
+# engine that revised more, and lookups may only fall below them.
 with open(os.path.join(os.path.dirname(__file__), "engine_pins.json")) as _fh:
     PINS = json.load(_fh)
 
@@ -336,6 +337,38 @@ class TestStateRestoration:
                     checked += 1
         assert checked > 50 and swept > 5, (checked, swept)
 
+    @pytest.mark.parametrize("consistency", ("bac", "bac0"))
+    def test_narrow_queues_only_the_sides_it_moved(self, consistency):
+        # From a root fixpoint: a narrow that moves no bound queues nothing,
+        # and a one-sided narrow queues that side's event alone, zeroes that
+        # side's row and keeps the other; the resume then makes rows exact.
+        checked = 0
+        for inst in suite(25, max_volume=3000):
+            for side in (INF, SUP):
+                st = PropState(inst, record_trail=True)
+                if _resume(st, consistency, list(range(len(st.domains)))):
+                    break
+                open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
+                if not open_vars:
+                    break
+                var = open_vars[0]
+                d = st.domains[var]
+                narrow(st, var, d.lb - 1, d.ub + 1)
+                assert not st.queue, inst.name
+                rows = (st.delta_inf, st.delta_sup)
+                kept = list(rows[1 - side][var])
+                if side:
+                    narrow(st, var, d.lb, d.ub - 1)
+                else:
+                    narrow(st, var, d.lb + 1, d.ub)
+                assert list(st.queue) == [var] and st.in_queue[var] == 1 << side
+                assert rows[1 - side][var] == kept, inst.name
+                assert not any(rows[side][var]), inst.name
+                if not _resume(st, consistency, [var]):
+                    _assert_rows_exact(st, (inst.name, side))
+                    checked += 1
+        assert checked > 20, checked
+
     @pytest.mark.parametrize("consistency", ALL)
     def test_every_undo_in_search_restores_its_mark(self, consistency, monkeypatch):
         # A later mark at the same trail length overwrites the snapshot;
@@ -423,6 +456,17 @@ class TestOptionValidation:
             solve(inst_linplus_sum, SearchOptions(branching="value"))
         with pytest.raises(ContractError):
             solve(inst_linplus_sum, SearchOptions(var_order="dom/deg"))
+
+    def test_limits_must_be_numbers_at_least_zero(self, inst_linplus_sum):
+        for opts in (
+            SearchOptions(time_limit=float("nan")),
+            SearchOptions(time_limit=-1.0),
+            SearchOptions(node_limit=-3),
+        ):
+            with pytest.raises(ContractError):
+                solve(inst_linplus_sum, opts)
+        result = solve(inst_linplus_sum, SearchOptions(time_limit=float("inf")))
+        assert (result.status, result.best_cost) == ("optimal", 2)
 
     def test_enumerate_needs_narrow_domains(self):
         inst = Instance(
