@@ -24,8 +24,6 @@ from .costfn import (
     evaluate,
     min_over_box,
     min_over_box_pinned,
-    validate_convex,
-    validate_monotonic,
     validate_semiconvex,
 )
 from .fileformat import emit, parse_path, parse_text
@@ -49,7 +47,6 @@ from .propagation import (
     enforce_bac_zero,
     enforce_nc,
     narrow,
-    project_binary,
     project_to_zero,
     project_unary,
     prune,

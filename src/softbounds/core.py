@@ -16,10 +16,6 @@ from typing import Iterator, Mapping, Tuple
 # it, which keeps every stored cost within 64-bit range.
 INFINITY = 2**63 - 1
 
-# Interior removals are only ever materialized by the per-value engines and
-# are capped so that interval-mode space guarantees cannot be eroded.
-REMOVED_CAP = 65536
-
 
 class SolverError(Exception):
     """Base class for every error this package raises on purpose."""

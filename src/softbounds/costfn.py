@@ -601,77 +601,6 @@ def validate_semiconvex(
     return True, None
 
 
-MonotonicWitness = Tuple[Tuple[int, int], Tuple[int, int], int, int]
-
-
-def validate_monotonic(
-    fn: CostFunction,
-    bounds: Box,
-    val: ValuationStructure,
-    order_i: str = "asc",
-    order_j: str = "asc",
-) -> Tuple[bool, Optional[MonotonicWitness]]:
-    """Check dominance: moving down the i-order or up the j-order never
-    raises the cost. Verified through adjacent steps, which is equivalent
-    by transitivity. Returns the violating adjacent pair on failure.
-    """
-    if fn.arity != 2:
-        raise ContractError("monotonicity is defined for binary scopes")
-    for v in fn.scope:
-        lo, hi = bounds[v]
-        if hi - lo + 1 > VALIDATOR_CAP:
-            raise CapError(
-                f"variable {v} has {hi - lo + 1} values, above the validation cap {VALIDATOR_CAP}"
-            )
-    xi, xj = fn.scope
-    i_axis = list(range(bounds[xi][0], bounds[xi][1] + 1))
-    j_axis = list(range(bounds[xj][0], bounds[xj][1] + 1))
-    if order_i == "desc":
-        i_axis.reverse()
-    if order_j == "desc":
-        j_axis.reverse()
-    rows = [[raw_cost(fn, (vi, vj), val) for vj in j_axis] for vi in i_axis]
-    # Non-decreasing along the i-order.
-    for a in range(len(i_axis) - 1):
-        for b in range(len(j_axis)):
-            if rows[a][b] > rows[a + 1][b]:
-                return False, (
-                    (i_axis[a], j_axis[b]),
-                    (i_axis[a + 1], j_axis[b]),
-                    rows[a][b],
-                    rows[a + 1][b],
-                )
-    # Non-increasing along the j-order.
-    for a in range(len(i_axis)):
-        for b in range(len(j_axis) - 1):
-            if rows[a][b] < rows[a][b + 1]:
-                return False, (
-                    (i_axis[a], j_axis[b]),
-                    (i_axis[a], j_axis[b + 1]),
-                    rows[a][b],
-                    rows[a][b + 1],
-                )
-    return True, None
-
-
-def validate_convex(
-    fn: CostFunction,
-    bounds: Box,
-    val: ValuationStructure,
-) -> bool:
-    """Semi-convex along each axis (under the natural order of either
-    axis or its reverse), which is what licences corner minimization."""
-    xi, xj = fn.scope
-    for wrt in (xi, xj):
-        ok = any(
-            validate_semiconvex(fn, bounds, wrt, order, val)[0]
-            for order in ("asc", "desc")
-        )
-        if not ok:
-            return False
-    return True
-
-
 def check_function(fn: CostFunction, bounds: Box, val: ValuationStructure) -> None:
     """Structural validation used at construction and load time."""
     if fn.arity == 0:

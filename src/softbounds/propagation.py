@@ -39,6 +39,15 @@ assigned, found through the trailed per-variable `assigned` flags. A
 `deadline` on the state is checked every DEADLINE_POPS queue pops, so a
 time limit holds inside one long fixpoint.
 
+The value engines keep NC*: every live value has w_zero plus its unary cost
+below k, and every non-empty domain has a value of zero unary cost. One
+pass of projections then prunes reaches it, because pruning never lowers
+w_zero and removes a zero-cost value only once w_zero reaches k, which
+wipes the domain. The arc loop keeps it: each unary increase on a variable
+is followed at once by that variable's projection and prune, and each rise
+of w_zero by a prune sweep over every variable, so when the queue empties
+NC* holds and no further round is needed.
+
 On a wipeout the interval engines normalize the state to the closure of an
 inconsistent network: every domain empty, and for the projecting engine the
 constant term and every shift saturated. This is what makes the enforcement
@@ -54,12 +63,7 @@ from dataclasses import dataclass
 from operator import setitem
 from typing import Dict, List, Optional, Tuple
 
-from .core import (
-    REMOVED_CAP,
-    CapError,
-    ContractError,
-    Domain,
-)
+from .core import CapError, ContractError, Domain
 from .costfn import FunctionOverlay, min_over_tuple_box, raw_cost
 
 # The engines call `min_over_tuple_box`. The dict-box API stays importable
@@ -246,8 +250,6 @@ class PropState:
 
     def _rm_add(self, xi: int, v: int) -> None:
         removed = self.domains[xi].removed
-        if len(removed) >= REMOVED_CAP:
-            raise CapError(f"interior removals capped at {REMOVED_CAP}")
         removed.add(v)
         if self.trail is not None:
             self.trail.append((_set_member, removed, v, False))
@@ -330,29 +332,23 @@ class PropState:
         return cells
 
     def effective_total(self, t: Dict[int, int]) -> int:
-        """Cost of a complete assignment under the current reformulation."""
+        """Cost of a complete assignment under the current value-mode
+        reformulation."""
+        self._require_values()
         valk = self.val.k
         total = self.w_zero
-        if self.mode == "values":
-            for xi, arr in enumerate(self.unary):
-                total += arr[t[xi] - self.base_lb[xi]]
-                if total >= valk:
-                    return valk
-            for fi, fn in enumerate(self.instance.functions):
-                if fn.arity == 1:
-                    continue  # absorbed into the unary arrays
-                values = tuple(t[v] for v in fn.scope)
-                if fn.arity == 2 and fi in self.pair_proj:
-                    total += self._eff_pair(fi, values)
-                else:
-                    total += raw_cost(fn, values, self.val)
-                if total >= valk:
-                    return valk
-            return total
+        for xi, arr in enumerate(self.unary):
+            total += arr[t[xi] - self.base_lb[xi]]
+            if total >= valk:
+                return valk
         for fi, fn in enumerate(self.instance.functions):
-            raw = raw_cost(fn, tuple(t[v] for v in fn.scope), self.val)
-            shift = self.overlays[fi].delta_shift
-            total += valk if raw == valk else raw - min(shift, raw)
+            if fn.arity == 1:
+                continue  # absorbed into the unary arrays
+            values = tuple(t[v] for v in fn.scope)
+            if fn.arity == 2:
+                total += self._eff_pair(fi, values)
+            else:
+                total += raw_cost(fn, values, self.val)
             if total >= valk:
                 return valk
         return total
@@ -470,6 +466,18 @@ def narrow(st: PropState, xi: int, lo: int, hi: int) -> None:
         st._push(xi, moved)
 
 
+def upper_half_first(st: PropState, xi: int, mid: int) -> bool:
+    """Whether a dichotomic branch on xi should try [mid + 1, ub] before
+    [lb, mid]: in interval mode when the row of the upper bound, exact at a
+    fixpoint, sums below that of the lower bound; in value mode when the
+    lowest live value of least unary cost lies above `mid`. Ties go to the
+    lower half."""
+    if st.mode == "interval":
+        return sum(st.delta_sup[xi]) < sum(st.delta_inf[xi])
+    arr, base = st.unary[xi], st.base_lb[xi]
+    return min(st.domains[xi].iter_values(), key=lambda v: arr[v - base]) > mid
+
+
 def project_to_zero(st: PropState, fi: int) -> bool:
     """Move the function's minimum over the current box onto w_zero.
 
@@ -568,7 +576,9 @@ def _enforce_bounds(st: PropState, project: bool) -> ConsistencyReport:
         _zero_caches(st, xi, INF)
         _zero_caches(st, xi, SUP)
     st._queue_all()
-    empty = _bound_loop(st, project)
+    # A constant term at the top is a wipeout even for variables that no
+    # function touches, and no prune would test those.
+    empty = st.w_zero >= st.k or _bound_loop(st, project)
     if empty:
         _normalize_wipeout(st, project)
     return _report(st, empty)
@@ -719,20 +729,21 @@ def _nc_prune(st: PropState, xi: int) -> bool:
 
 
 def _nc_fixpoint(st: PropState) -> bool:
-    """Node-consistency fixpoint; returns True on wipeout."""
+    """Node-consistency (NC*) fixpoint; returns True on wipeout.
+
+    One pass suffices: after every variable is projected, each non-empty
+    domain holds a zero-cost value, and pruning, which leaves w_zero alone,
+    deletes that value only when w_zero has reached k and the domain wipes
+    out. With no variable to wipe, w_zero at k is the wipeout.
+    """
     n = len(st.domains)
-    changed = True
-    while changed:
-        changed = False
-        for xi in range(n):
-            if not st.domains[xi].is_empty and project_unary(st, xi):
-                changed = True
-        for xi in range(n):
-            if _nc_prune(st, xi):
-                changed = True
-                if st.domains[xi].is_empty:
-                    return True
-    return False
+    for xi in range(n):
+        if not st.domains[xi].is_empty:
+            project_unary(st, xi)
+    for xi in range(n):
+        if _nc_prune(st, xi) and st.domains[xi].is_empty:
+            return True
+    return st.w_zero >= st.k
 
 
 def enforce_nc(st: PropState) -> ConsistencyReport:
@@ -744,7 +755,9 @@ def enforce_nc(st: PropState) -> ConsistencyReport:
     return _report(st, empty)
 
 
-def _project_binary_one(st: PropState, fi: int, xi: int, vi: int) -> bool:
+def _project_pair(st: PropState, fi: int, xi: int, vi: int) -> bool:
+    """Move the least effective cost of binary function fi over the pairs
+    through value vi of xi onto vi's unary cost; returns whether it moved."""
     fn = st.instance.functions[fi]
     side = 0 if fn.scope[0] == xi else 1
     xj = fn.scope[1 - side]
@@ -778,28 +791,14 @@ def _project_binary_one(st: PropState, fi: int, xi: int, vi: int) -> bool:
     return True
 
 
-def project_binary(st: PropState, xi: int, vi: int, xj: int) -> bool:
-    """Create a support for value vi of xi on every binary function that
-    links xi and xj, moving the pair minimum onto vi's unary cost."""
-    st._require_values()
-    if not st.domains[xi].contains(vi):
-        raise ContractError(f"value {vi} is not live in variable {xi}")
-    fis = [
-        fi
-        for fi in st.incident[xi]
-        if st.instance.functions[fi].arity == 2 and xj in st.instance.functions[fi].scope
-    ]
-    if not fis:
-        raise ContractError(f"no binary function links variables {xi} and {xj}")
-    moved = False
-    for fi in fis:
-        if _project_binary_one(st, fi, xi, vi):
-            moved = True
-    return moved
-
-
 def _ac_loop(st: PropState) -> bool:
-    """One queue-driven revision wave; True on wipeout."""
+    """Queue-driven arc-consistency fixpoint; True on wipeout.
+
+    Expects NC* on entry and keeps it: a variable whose unary costs rose is
+    projected and pruned at once, and a rise of w_zero is followed by a
+    prune sweep over every variable. So the queue emptying is the AC*
+    fixpoint, and no node-consistency round is needed after it.
+    """
     n = len(st.domains)
     functions = st.instance.functions
     stats = st.stats
@@ -818,7 +817,7 @@ def _ac_loop(st: PropState) -> bool:
                 st._clear_queue()
                 return True
             for vo in list(st.domains[xo].iter_values()):
-                _project_binary_one(st, fi, xo, vo)
+                _project_pair(st, fi, xo, vo)
             project_unary(st, xo)
             if _nc_prune(st, xo):
                 st._push(xo)
@@ -835,22 +834,11 @@ def _ac_loop(st: PropState) -> bool:
     return False
 
 
-def _ac_rounds(st: PropState) -> bool:
-    """Alternate revision waves with full NC restoration until neither
-    changes anything. NC deletions can strip a variable's zero-cost value,
-    so a wave alone is not a fixpoint; each extra round costs at least one
-    deletion or a constant-term increase, so this terminates."""
-    while True:
-        if _ac_loop(st):
-            return True
-        deletions = st.stats.deletions
-        w0 = st.w_zero
-        if _nc_fixpoint(st):
-            st._clear_queue()
-            return True
-        if st.stats.deletions == deletions and st.w_zero == w0:
-            return False
-        st._queue_all()
+def require_binary_scopes(inst: Instance, action: str) -> None:
+    """Refuse functions of arity above 2, which the arc loop never revises;
+    `action` opens the error message."""
+    if any(fn.arity > 2 for fn in inst.functions):
+        raise ContractError(f"{action} unary and binary functions only")
 
 
 def enforce_ac_star(st: PropState) -> ConsistencyReport:
@@ -859,17 +847,13 @@ def enforce_ac_star(st: PropState) -> ConsistencyReport:
     Handles unary (absorbed at materialization) and binary functions only.
     """
     st._require_values()
-    for fn in st.instance.functions:
-        if fn.arity > 2:
-            raise ContractError(
-                "per-value arc enforcement is defined for unary and binary functions only"
-            )
+    require_binary_scopes(st.instance, "per-value arc enforcement is defined for")
     if st.any_empty():
         return _report(st, True)
     if _nc_fixpoint(st):
         return _report(st, True)
     st._queue_all()
-    return _report(st, _ac_rounds(st))
+    return _report(st, _ac_loop(st))
 
 
 def _project_assigned_values(st: PropState, fi: int) -> bool:
@@ -909,6 +893,6 @@ def resume_values(st: PropState, arc: bool, touched: List[int]) -> bool:
         if arc:
             for xi in touched:
                 st._push(xi)
-            return _ac_rounds(st)
+            return _ac_loop(st)
         if not _backward_check(st, _project_assigned_values):
             return False

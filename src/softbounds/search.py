@@ -26,9 +26,11 @@ from .propagation import (
     LimitReached,
     PropState,
     narrow,
+    require_binary_scopes,
     resume_bounds,
     resume_values,
     state_mode,
+    upper_half_first,
 )
 
 CONSISTENCIES = ("nc", "ac", "bac", "bac0")
@@ -42,10 +44,8 @@ class SearchOptions:
     ties going to the most incident functions (dom/deg style) and then to
     the lowest index; `"lex"` takes the first unassigned variable.
     `branching="dichotomic"` splits the domain at its midpoint and tries
-    the cheaper-looking half first: in interval mode (bac, bac0) the upper
-    half when the cached costs of the upper bound sum below those of the
-    lower bound, in value mode (nc, ac) the half holding the lowest live
-    value of least unary cost. `"enumerate"` tries single values in
+    the cheaper-looking half first, as `propagation.upper_half_first`
+    prices it from the fixpoint's own costs. `"enumerate"` tries single values in
     ascending order. These orders find good incumbents early; optima never
     depend on them, but nodes, backtracks and, among tied optima, the
     witness do, so they may differ from versions with other orders.
@@ -155,20 +155,13 @@ class _Searcher:
 
     def _branches(self, var: int) -> List[Tuple[int, int]]:
         """The `(lo, hi)` narrowings of a node in the order they are tried
-        (see `SearchOptions`). The bound rows, exact at a fixpoint, price
-        each bound; ties go to the lower half."""
-        st = self.st
-        d = st.domains[var]
+        (see `SearchOptions`)."""
+        d = self.st.domains[var]
         if self.opts.branching == "enumerate":
             return [(v, v) for v in d.iter_values()]
         mid = (d.lb + d.ub) // 2
         halves = [(d.lb, mid), (mid + 1, d.ub)]
-        if st.mode == "interval":
-            upper_first = sum(st.delta_sup[var]) < sum(st.delta_inf[var])
-        else:
-            arr, base = st.unary[var], st.base_lb[var]
-            upper_first = min(d.iter_values(), key=lambda v: arr[v - base]) > mid
-        if upper_first:
+        if upper_half_first(self.st, var, mid):
             halves.reverse()
         return halves
 
@@ -210,11 +203,7 @@ def solve(inst: Instance, opts: SearchOptions) -> SearchResult:
                 f"per domain, got {widest}"
             )
     if opts.consistency == "ac":
-        for fn in inst.functions:
-            if fn.arity > 2:
-                raise ContractError(
-                    "arc consistency search requires unary and binary functions only"
-                )
+        require_binary_scopes(inst, "arc consistency search requires")
     st = PropState(inst, mode=state_mode(opts.consistency), record_trail=True)
     if opts.initial_ub is not None:
         if opts.initial_ub < 1:

@@ -55,6 +55,20 @@ class TestPropagate:
         assert rep["empty"] is True
         assert rep["domains"] == [None, None, None]
 
+    @pytest.mark.parametrize("consistency", ["bac", "bac0", "nc", "ac"])
+    @pytest.mark.parametrize("variables", [["var 0 0 3"], []])
+    def test_constant_term_at_top_is_a_wipeout(self, capsys, tmp_path, consistency, variables):
+        # No function touches a variable, so no prune ever tests one.
+        path = tmp_path / "top.wcsp"
+        path.write_text("\n".join(["wcsp top", "k 5", "w0 5", *variables, ""]))
+        argv = ["propagate", str(path), "--consistency", consistency, "--json"]
+        code, rep = run_json(capsys, argv)
+        assert code == 1
+        assert rep["empty"] is True and rep["domains"] == [None] * len(variables)
+        code, rep = run_json(capsys, ["verify", str(path), "--json"])
+        assert code == 1
+        assert rep["bac_agree"] and rep["bac0_agree"] and rep["solve_agree"]
+
     def test_per_value_mode(self, capsys, cascade_file):
         code, rep = run_json(capsys, ["propagate", cascade_file, "--consistency", "ac", "--json"])
         assert code == 0

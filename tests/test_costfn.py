@@ -15,8 +15,6 @@ from softbounds.costfn import (
     evaluate,
     min_over_box,
     min_over_box_pinned,
-    validate_convex,
-    validate_monotonic,
     validate_semiconvex,
 )
 from softbounds.oracle import brute_min_over_box
@@ -254,44 +252,14 @@ class TestValidators:
         bounds = {0: (0, 9), 1: (0, 9)}
         for a, b in ((1, 1), (-1, -1), (2, 1), (-2, -1)):
             fn = CostFunction(scope=(0, 1), kind=LinPlus(a, b, 3))
-            assert validate_convex(fn, bounds, val)
-
-    def test_monoleq_is_monotonic(self):
-        val = ValuationStructure(9)
-        fn = CostFunction(scope=(0, 1), kind=MonoLeq(0, 1))
-        ok, witness = validate_monotonic(fn, {0: (0, 5), 1: (0, 5)}, val)
-        assert ok and witness is None
-
-    def test_linplus_difference_is_monotonic(self):
-        # max(0, v0 - v1 + 3) checked exhaustively over [0,5]^2.
-        val = ValuationStructure(20)
-        fn = CostFunction(scope=(0, 1), kind=LinPlus(1, -1, 3))
-        ok, witness = validate_monotonic(fn, {0: (0, 5), 1: (0, 5)}, val)
-        assert ok and witness is None
-
-    def test_equality_kind_is_not_monotonic(self):
-        val = ValuationStructure(9)
-        fn = CostFunction(scope=(0, 1), kind=FunctionalEq(alpha=1))
-        ok, witness = validate_monotonic(fn, {0: (0, 5), 1: (0, 5)}, val)
-        assert not ok and witness is not None
-
-    def test_monotonic_implies_convex(self):
-        val = ValuationStructure(30)
-        bounds = {0: (0, 6), 1: (0, 6)}
-        candidates = [
-            CostFunction(scope=(0, 1), kind=MonoLeq(1, 2)),
-            CostFunction(scope=(0, 1), kind=LinPlus(1, -1, 2)),
-            CostFunction(scope=(0, 1), kind=LinPlus(2, -1, 0)),
-        ]
-        for fn in candidates:
-            ok, _ = validate_monotonic(fn, bounds, val)
-            assert ok
-            assert validate_convex(fn, bounds, val)
+            for wrt in (0, 1):
+                assert any(
+                    validate_semiconvex(fn, bounds, wrt, order, val)[0]
+                    for order in ("asc", "desc")
+                )
 
     def test_cap_refuses_wide_domains(self):
         val = ValuationStructure(9)
         fn = CostFunction(scope=(0, 1), kind=AntiFunctionalNeq(alpha=2))
         with pytest.raises(CapError):
             validate_semiconvex(fn, {0: (0, 1000), 1: (0, 3)}, 0, "asc", val)
-        with pytest.raises(CapError):
-            validate_monotonic(fn, {0: (0, 1000), 1: (0, 3)}, val)

@@ -21,17 +21,36 @@ from softbounds.propagation import (
     enforce_bac,
     enforce_bac_zero,
     enforce_nc,
-    project_binary,
+    _project_pair,
     project_to_zero,
     project_unary,
     prune,
 )
 
-from helpers import preservation_ok, suite
+from helpers import binary_only, preservation_ok, suite
 
 
 def intervals(report):
     return [None if d.is_empty else (d.lb, d.ub) for d in report.domains]
+
+
+def top_constant_instance():
+    """w_zero already at the top, over a variable that no function touches."""
+    return Instance("top", ValuationStructure(5), [Variable(0, Domain(0, 3))], [], w_zero=5)
+
+
+def assert_nc_star(st, where):
+    """Every live value is tolerable, every non-empty domain holds a value
+    of zero unary cost, and one more node-consistency pass changes nothing."""
+    for xi, d in enumerate(st.domains):
+        if d.is_empty:
+            continue
+        costs = unary_map(st, xi)
+        assert all(st.w_zero + c < st.k for c in costs.values()), (where, xi)
+        assert min(costs.values()) == 0, (where, xi)
+    before = (st.fingerprint(), vars(st.stats).copy())
+    assert not propagation._nc_fixpoint(st), where
+    assert (st.fingerprint(), vars(st.stats)) == before, where
 
 
 def unary_map(st, xi):
@@ -88,7 +107,7 @@ class TestBinaryProjection:
         from softbounds.propagation import _delete_value
 
         _delete_value(st, 0, 0)
-        assert project_binary(st, 0, 1, 1)
+        assert _project_pair(st, 2, 0, 1)
         assert unary_map(st, 0)[1] == 1  # binary minimum 1 moved onto the value
 
     def test_noop_with_existing_support(self):
@@ -100,7 +119,7 @@ class TestBinaryProjection:
             [CostFunction(scope=(0, 1), kind=ExtTable(default=0, table=table))],
         )
         st = PropState(inst, mode="values")
-        assert not project_binary(st, 0, 0, 1)  # pair (0,1) already costs 0
+        assert not _project_pair(st, 0, 0, 0)  # pair (0,1) already costs 0
 
     def test_random_tables_move_exact_minimum(self):
         rng = random.Random(5)
@@ -121,7 +140,7 @@ class TestBinaryProjection:
             st = PropState(inst, mode="values")
             vi = rng.randrange(d)
             row_min = min(table.get((vi, vj), 0) for vj in range(d))
-            moved = project_binary(st, 0, vi, 1)
+            moved = _project_pair(st, 0, 0, vi)
             assert moved == (row_min > 0)
             assert unary_map(st, 0)[vi] == row_min
             if 0 < row_min < k:
@@ -274,7 +293,7 @@ class TestBoundEnforcement:
         assert intervals(rep) == [(1, 10), (1, 10)]
 
     def test_matches_naive_rescan(self):
-        for inst in suite(25):
+        for inst in suite(25) + [top_constant_instance()]:
             rep = enforce_bac(PropState(inst))
             naive = naive_bac_fixpoint(inst)
             assert intervals(rep) == [
@@ -326,7 +345,7 @@ class TestJointEnforcement:
             assert intervals(first) == intervals(second)
 
     def test_matches_naive_fixpoint(self):
-        for inst in suite(25):
+        for inst in suite(25) + [top_constant_instance()]:
             st = PropState(inst)
             rep = enforce_bac_zero(st)
             doms, w0, shifts = naive_bac_zero_fixpoint(inst)
@@ -483,6 +502,57 @@ class TestRecordedCounters:
                    hashlib.sha256(lines.encode()).hexdigest()[:16]]
             assert got == want, (name, consistency, schedule)
             assert sum(rep.eval_counts) <= lookups, (name, consistency, schedule)
+
+    def test_value_enforcement_counters(self):
+        # nc and ac on the binary suite instances: outcome, counters, trace
+        # and lookups, exactly.
+        path = os.path.join(os.path.dirname(__file__), "engine_pins.json")
+        with open(path) as fh:
+            pins = json.load(fh)["enforce_values"]
+        insts = {inst.name: inst for inst in suite(40, max_volume=3000)}
+        enforcers = {"nc": enforce_nc, "ac": enforce_ac_star}
+        assert len(pins) == 72 and sum(1 for p in pins if p[3]) > 10
+        for name, consistency, schedule, *want in pins:
+            rng = None if schedule is None else random.Random(schedule)
+            trace = []
+            st = PropState(insts[name], mode="values", pop_rng=rng, trace=trace)
+            rep = enforcers[consistency](st)
+            lines = "".join(json.dumps(event) + "\n" for event in trace)
+            got = [rep.empty, rep.w_zero, rep.deletions, rep.projections, rep.queue_pops,
+                   hashlib.sha256(lines.encode()).hexdigest()[:16], sum(rep.eval_counts)]
+            assert got == want, (name, consistency, schedule)
+
+
+class TestNodeConsistencyInvariant:
+    def test_holds_after_enforcement(self):
+        # suite-44 and suite-69 need the prune sweep after a rise of w_zero.
+        for inst in suite(80, max_volume=3000):
+            if not binary_only(inst):
+                continue
+            for schedule in (None, 1):
+                rng = None if schedule is None else random.Random(schedule)
+                st = PropState(inst, mode="values", pop_rng=rng)
+                if not enforce_ac_star(st).empty:
+                    assert_nc_star(st, (inst.name, schedule))
+
+    def test_holds_after_every_arc_resume_in_search(self, monkeypatch):
+        from softbounds import search
+
+        checked = []
+
+        def checking(st, arc, touched):
+            empty = propagation.resume_values(st, arc, touched)
+            if not empty:
+                assert_nc_star(st, len(checked))
+                checked.append(arc)
+            return empty
+
+        monkeypatch.setattr(search, "resume_values", checking)
+        for inst in suite(80, max_volume=3000):
+            if binary_only(inst):
+                for branching in ("dichotomic", "enumerate"):
+                    search.solve(inst, search.SearchOptions(consistency="ac", branching=branching))
+        assert len(checked) > 100
 
 
 class TestDeadline:

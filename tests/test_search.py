@@ -32,7 +32,8 @@ ALL = ("nc", "ac", "bac", "bac0")
 # optima, which no engine change may move, and the path fields under the
 # degree tie-break and cheaper-half order. Deletions, projections and pops
 # follow the revision order. The lookup ceilings were recorded with an
-# engine that revised more, and lookups may only fall below them.
+# engine that revised more, and lookups may only fall below them. The
+# "search_values" rows pin nc and ac searches exactly, lookups included.
 with open(os.path.join(os.path.dirname(__file__), "engine_pins.json")) as _fh:
     PINS = json.load(_fh)
 
@@ -206,6 +207,30 @@ class TestPinnedResults:
                    stats.deletions, stats.projections, stats.queue_pops]
             assert got == want, (name, consistency, branching, order)
             assert sum(ov.eval_count for ov in states[-1].overlays) <= lookups, name
+
+    def test_value_search_matches_recorded_results(self, monkeypatch):
+        # nc and ac under both branchings on the binary suite instances:
+        # status, optimum, witness, nodes, backtracks, the search's
+        # deletions, projections and queue pops, and its lookups, exactly.
+        states = []
+
+        def recording(*args, **kwargs):
+            states.append(PropState(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(search, "PropState", recording)
+        insts = {inst.name: inst for inst in suite(40, max_volume=3000)}
+        assert len(PINS["search_values"]) == 72
+        for name, consistency, branching, *want in PINS["search_values"]:
+            r = solve(insts[name], SearchOptions(consistency=consistency, branching=branching))
+            st = states[-1]
+            witness = None if r.best_assignment is None else [
+                r.best_assignment[i] for i in range(len(r.best_assignment))
+            ]
+            got = [r.status, r.best_cost, witness, r.nodes, r.backtracks, st.stats.deletions,
+                   st.stats.projections, st.stats.queue_pops,
+                   sum(ov.eval_count for ov in st.overlays)]
+            assert got == want, (name, consistency, branching)
 
 
 class TestPruningStrength:
