@@ -21,6 +21,9 @@ position in scope order, trusts it to be non-empty and adds its raw lookups
 to the overlay's `eval_count`. The engines call it through
 `min_over_tuple_box`; the public `min_over_box` and `min_over_box_pinned`
 validate a box keyed by variable id, convert it and call the same code.
+A kind whose `box_min` costs a constant number of lookups whenever one
+position is pinned, whatever the width of the others, sets the class
+attribute `constant_pin`; the bound engines re-test such rows at once.
 
 Minimization works on *effective* costs raw(t) - delta_shift, where
 delta_shift records cost already moved to the network's constant term. The
@@ -92,6 +95,7 @@ class ExtTable:
     """
 
     name: ClassVar[str] = "ext"
+    constant_pin: ClassVar[bool] = False
 
     default: int
     table: Dict[Tuple[int, ...], int]
@@ -252,6 +256,7 @@ class _Binary:
     """
 
     name: ClassVar[str]
+    constant_pin: ClassVar[bool] = False
 
     def check(self, scope, bounds: Box, val: ValuationStructure) -> None:
         if len(scope) != 2:
@@ -340,6 +345,7 @@ class MonoLeq(_Binary):
     """Cost 0 iff v_i + delta <= v_j, else alpha."""
 
     name: ClassVar[str] = "monoleq"
+    constant_pin: ClassVar[bool] = True
 
     delta: int
     alpha: int
@@ -363,6 +369,7 @@ class LinPlus(_Binary):
     """
 
     name: ClassVar[str] = "linplus"
+    constant_pin: ClassVar[bool] = True
 
     a: int
     b: int
@@ -387,6 +394,7 @@ class Spacer(_Binary):
     """
 
     name: ClassVar[str] = "spacer"
+    constant_pin: ClassVar[bool] = True
 
     d1: int
     d2: int

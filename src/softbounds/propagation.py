@@ -31,13 +31,24 @@ deletions of a consistent outcome, do not depend on the schedule; queue
 pops, lookups, the order of trace events and the deletions made before a
 wipeout follow the revision order.
 
+`prune` has two rules. A variable whose every function has a constant-time
+pinned minimum (unary functions and the kinds marked `constant_pin`) is
+eager: its bound walks inward, re-tested at once, until the first value
+whose full row is below the top. That row is exact, so the variable is
+queued with the NEIGHBOURS event, which revises only the other scope
+variables of its functions. Every other variable is deferred: one value
+goes, its row on that side is zeroed and the side is queued, so the pop
+recomputes it. Re-testing a scanning kind at once would scan partner boxes
+that the pop may see narrower, for more lookups than it saves.
+
 During search, `resume_bounds` sweeps every bound only when k - w_zero fell
 below its value at the last completed fixpoint, kept in the trailed
 `fixpoint_slack`; otherwise no row outside the queue can fire. Backward
 checking projects only the functions whose scope has just become fully
 assigned, found through the trailed per-variable `assigned` flags. A
-`deadline` on the state is checked every DEADLINE_POPS queue pops, so a
-time limit holds inside one long fixpoint.
+`deadline` on the state is checked every DEADLINE_POPS units of work, queue
+pops and walk steps, so a time limit holds inside one long fixpoint and
+inside one long walk.
 
 The value engines keep NC*: every live value has w_zero plus its unary cost
 below k, and every non-empty domain has a value of zero unary cost. One
@@ -46,7 +57,9 @@ w_zero and removes a zero-cost value only once w_zero reaches k, which
 wipes the domain. The arc loop keeps it: each unary increase on a variable
 is followed at once by that variable's projection and prune, and each rise
 of w_zero by a prune sweep over every variable, so when the queue empties
-NC* holds and no further round is needed.
+NC* holds and no further round is needed. `resume_values` keeps the same
+`fixpoint_slack` as `resume_bounds`: it projects and prunes only the
+touched variables, and prunes every variable only when the slack fell.
 
 On a wipeout the interval engines normalize the state to the closure of an
 inconsistent network: every domain empty, and for the projecting engine the
@@ -78,12 +91,16 @@ AC_VALUE_CAP = 65536
 # picks a bound by side tests `if side` for SUP.
 INF, SUP = 0, 1
 
-# A queued variable's events: bit `1 << side` is set when that bound moved.
+# A queued variable's events: bit `1 << side` is set when that bound moved
+# and its row on that side must be recomputed; NEIGHBOURS alone says that
+# its bounds moved but its rows are exact, so only its neighbours are revised.
 BOTH = 1 << INF | 1 << SUP
+NEIGHBOURS = 4
 # The sides named by each event mask.
 _SIDES = ((), (INF,), (SUP,), (INF, SUP))
 
-# A state's deadline is compared with the clock once every this many pops.
+# A state's deadline is compared with the clock once every this many units
+# of fixpoint work: queue pops and the steps of a walking prune.
 DEADLINE_POPS = 64
 
 
@@ -135,8 +152,8 @@ class PropState:
 
     `trace`, a list or any object with an `append` method, receives one
     event dict per deletion or projection as it happens. `deadline`, a
-    `time.perf_counter()` value or None, makes the fixpoint loops raise
-    `LimitReached` once it has passed.
+    `time.perf_counter()` value or None, makes the fixpoint loops and the
+    walks of `prune` raise `LimitReached` once it has passed.
     """
 
     def __init__(
@@ -174,6 +191,13 @@ class PropState:
         self.trail: Optional[list] = [] if record_trail else None
         self.trace = trace
         self.deadline: Optional[float] = None
+        self.ticks = 0  # queue pops and walk steps, for the deadline
+        # Variables whose rows `prune` re-tests at once (see there).
+        fns = inst.functions
+        self.eager = [
+            bool(fis) and all(fns[fi].arity == 1 or fns[fi].kind.constant_pin for fi in fis)
+            for fis in self.incident
+        ]
         # Backward checking: variables already seen assigned on this branch.
         self.assigned = [False] * n
         # k - w_zero when the last resume completed: no untouched row reaches
@@ -296,9 +320,15 @@ class PropState:
         while self.queue:
             self.in_queue[self.queue.popleft()] = 0
 
-    def _check_deadline(self) -> None:
-        # Called every DEADLINE_POPS pops, and only when a deadline is set.
-        if time.perf_counter() > self.deadline:
+    def _tick(self) -> None:
+        """Count one unit of fixpoint work, a queue pop or a walk step, and
+        compare the deadline with the clock every DEADLINE_POPS units."""
+        self.ticks += 1
+        if (
+            self.deadline is not None
+            and not self.ticks % DEADLINE_POPS
+            and time.perf_counter() > self.deadline
+        ):
             raise LimitReached
 
     # -- observation helpers ------------------------------------------------
@@ -408,18 +438,8 @@ def _zero_caches(st: PropState, xi: int, side: int) -> None:
         st._set_cell(row, pos, 0)
 
 
-def prune(st: PropState, xi: int, side: int) -> bool:
-    """Delete the bound of xi on `side` (INF or SUP) if its combined pinned
-    cost reaches the top.
-
-    Resets the variable's caches on that side and queues the variable with
-    that side's event, so they are recomputed when it is popped.
-    """
+def _delete_bound(st: PropState, xi: int, side: int) -> None:
     d = st.domains[xi]
-    if d.is_empty:
-        return False
-    if st.w_zero + sum(st._caches[side][xi]) < st.k:
-        return False
     v = d.ub if side else d.lb
     if st.trace is not None:
         st.trace.append(
@@ -427,8 +447,60 @@ def prune(st: PropState, xi: int, side: int) -> bool:
         )
     st.stats.deletions += 1
     _slide(st, xi, side, v - 1 if side else v + 1)
-    _zero_caches(st, xi, side)
-    st._push(xi, 1 << side)
+
+
+def prune(st: PropState, xi: int, side: int) -> bool:
+    """Delete the bound of xi on `side` (INF or SUP) if its combined pinned
+    cost reaches the top; returns whether anything was deleted.
+
+    A variable whose every function has a constant-time pinned minimum
+    (`st.eager`) walks: the bound is deleted for as long as its row,
+    recomputed at the new bound, reaches the top. Each step evaluates the
+    functions one at a time, from the one that ended the previous step,
+    until the partial sum reaches the top; the others count 0, a lower
+    bound. The walk stops at the first bound whose full row stays below the
+    top. That row is exact, so the variable is queued with the NEIGHBOURS
+    event alone. Any other variable deletes one value, resets its row on
+    that side and is queued with that side's event, so the row is
+    recomputed when it is popped: re-testing a scanning kind at once would
+    scan partner boxes that the pop may see narrower.
+    """
+    d = st.domains[xi]
+    if d.is_empty:
+        return False
+    row = st._caches[side][xi]
+    top = st.k - st.w_zero
+    if sum(row) < top:
+        return False
+    _delete_bound(st, xi, side)
+    if not st.eager[xi]:
+        _zero_caches(st, xi, side)
+        st._push(xi, 1 << side)
+        return True
+    fis = st.incident[xi]
+    n = len(fis)
+    # A step starts at the entry that ended the previous one, the first at
+    # the largest cached entry.
+    start = row.index(max(row))
+    while not d.is_empty:
+        st._tick()
+        v = d.ub if side else d.lb
+        alphas = [0] * n
+        total = 0
+        for i in range(n):
+            pos = (start + i) % n
+            alphas[pos] = alpha = _pinned(st, fis[pos], xi, v)
+            total += alpha
+            if total >= top:
+                break
+        else:
+            # The full row is below the top: v is supported, its row exact.
+            for pos in range(n):
+                st._set_cell(row, pos, alphas[pos])
+            break
+        start = pos
+        _delete_bound(st, xi, side)
+    st._push(xi, NEIGHBOURS)
     return True
 
 
@@ -515,8 +587,7 @@ def _bound_loop(st: PropState, project: bool) -> bool:
     while st.queue:
         xj, moved = st._pop()
         stats.queue_pops += 1
-        if st.deadline is not None and not stats.queue_pops % DEADLINE_POPS:
-            st._check_deadline()
+        st._tick()
         flag = False
         for fi in st.incident[xj]:
             # Every entry of a function whose shift was raised is too high.
@@ -529,7 +600,7 @@ def _bound_loop(st: PropState, project: bool) -> bool:
             for xi in functions[fi].scope:
                 slot = st.slot_of[xi][fi]
                 d = st.domains[xi]
-                sides = BOTH if raised or xi != xj else moved | in_queue[xj]
+                sides = BOTH if raised or xi != xj else (moved | in_queue[xj]) & BOTH
                 for side in _SIDES[sides]:
                     alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
                     st._set_cell(caches[side][xi], slot, alpha)
@@ -728,19 +799,28 @@ def _nc_prune(st: PropState, xi: int) -> bool:
     return changed
 
 
-def _nc_fixpoint(st: PropState) -> bool:
+def _nc_fixpoint(st: PropState, touched: Optional[List[int]] = None) -> bool:
     """Node-consistency (NC*) fixpoint; returns True on wipeout.
 
     One pass suffices: after every variable is projected, each non-empty
     domain holds a zero-cost value, and pruning, which leaves w_zero alone,
     deletes that value only when w_zero has reached k and the domain wipes
     out. With no variable to wipe, w_zero at k is the wipeout.
+
+    With `touched`, NC* held at the last completed resume with the slack
+    `fixpoint_slack`, and only the touched variables have changed since:
+    the others still hold a zero-cost value and no value at or above that
+    slack, so only the touched variables are projected, and every variable
+    is pruned only when k - w_zero has fallen below it.
     """
     n = len(st.domains)
-    for xi in range(n):
+    variables = range(n) if touched is None else touched
+    for xi in variables:
         if not st.domains[xi].is_empty:
             project_unary(st, xi)
-    for xi in range(n):
+    if st.k - st.w_zero < st.fixpoint_slack:
+        variables = range(n)
+    for xi in variables:
         if _nc_prune(st, xi) and st.domains[xi].is_empty:
             return True
     return st.w_zero >= st.k
@@ -805,8 +885,7 @@ def _ac_loop(st: PropState) -> bool:
     while st.queue:
         xj, _ = st._pop()
         stats.queue_pops += 1
-        if st.deadline is not None and not stats.queue_pops % DEADLINE_POPS:
-            st._check_deadline()
+        st._tick()
         w0_before = st.w_zero
         for fi in st.incident[xj]:
             fn = functions[fi]
@@ -881,18 +960,25 @@ def _project_assigned_values(st: PropState, fi: int) -> bool:
 def resume_values(st: PropState, arc: bool, touched: List[int]) -> bool:
     """Re-establish NC (and arc consistency when `arc`) after narrowing.
 
-    Without arc consistency, fully assigned functions contribute their cost
-    to the constant term (backward checking) until nothing moves. Returns
-    True on wipeout.
+    As in `resume_bounds`, only the touched variables are projected and
+    pruned unless k - w_zero has fallen below the trailed `fixpoint_slack`
+    of the last completed resume, which is then recorded anew. Without arc
+    consistency, fully assigned functions contribute their cost to the
+    constant term (backward checking) until nothing moves. Returns True on
+    wipeout.
     """
     st._require_values()
     while True:
-        if st.w_zero >= st.k or _nc_fixpoint(st):
+        if st.w_zero >= st.k or _nc_fixpoint(st, touched):
             st._clear_queue()
             return True
         if arc:
             for xi in touched:
                 st._push(xi)
-            return _ac_loop(st)
+            if _ac_loop(st):
+                return True
+            break
         if not _backward_check(st, _project_assigned_values):
-            return False
+            break
+    st._set_attr(st, "fixpoint_slack", st.k - st.w_zero)
+    return False

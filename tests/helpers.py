@@ -17,6 +17,7 @@ from softbounds.costfn import (
     MonoLeq,
     Spacer,
 )
+from softbounds.generators import gen_spacerchain
 from softbounds.network import Instance
 from softbounds.oracle import _cost as oracle_cost
 
@@ -129,6 +130,21 @@ def suite_instance(seed: int, max_volume: int = 8000) -> Instance:
 
 def suite(count: int = 50, max_volume: int = 8000) -> List[Instance]:
     return [suite_instance(seed, max_volume) for seed in range(count)]
+
+
+def spacer_chains(max_volume: Optional[int] = None) -> List[Instance]:
+    """Small spacer chains of 2 to 5 variables over [0, L <= 35] under
+    three tops, most of them wipeouts: every variable walks its bounds.
+    `max_volume` keeps the chains of at most that many assignments."""
+    chains = [
+        gen_spacerchain(m, L, k=k, seed=seed)
+        for m, L in ((2, 12), (3, 20), (3, 35), (4, 35), (5, 35))
+        for k in (2, 5, 24)
+        for seed in (0, 1, 2)
+    ]
+    if max_volume is None:
+        return chains
+    return [inst for inst in chains if prod(v.domain.size() for v in inst.variables) <= max_volume]
 
 
 def binary_only(inst: Instance) -> bool:

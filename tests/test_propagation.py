@@ -1,6 +1,3 @@
-import hashlib
-import json
-import os
 import random
 import time
 
@@ -8,7 +5,7 @@ import pytest
 
 from softbounds import propagation
 from softbounds.core import CapError, ContractError, Domain, ValuationStructure, Variable
-from softbounds.costfn import CostFunction, ExtTable, LinPlus
+from softbounds.costfn import CostFunction, ExtTable, LinPlus, Spacer
 from softbounds.network import Instance
 from softbounds.oracle import brute_optimum, naive_bac_fixpoint, naive_bac_zero_fixpoint
 from softbounds.propagation import (
@@ -27,7 +24,8 @@ from softbounds.propagation import (
     prune,
 )
 
-from helpers import binary_only, preservation_ok, suite
+import record_pins
+from helpers import binary_only, preservation_ok, spacer_chains, suite
 
 
 def intervals(report):
@@ -265,6 +263,36 @@ class TestPrune:
         assert not prune(st, 0, INF)
         assert st.domains[0].lb == 0
 
+    def test_eager_variable_walks_to_the_first_supported_value(self):
+        # x0 has only constant-time pinned minima (a unary table, a linplus
+        # and a spacer), so one prune walks its lower bound. With the
+        # constant term 4 and the top 10, a row summing to 6 kills a value:
+        # 1 has the unary cost 10, 2 has 4 + 8, 3 has 4 + 6 and 4 has
+        # 0 + 4 + 2; the row of 5 is 0 + 2 + 1.
+        from softbounds.oracle import brute_min_over_box
+
+        inst = Instance(
+            "walk",
+            ValuationStructure(10),
+            [Variable(0, Domain(0, 20)), Variable(1, Domain(0, 5))],
+            [
+                CostFunction(scope=(0,), kind=ExtTable(default=0, table={(1,): 10, (2,): 4, (3,): 4})),
+                CostFunction(scope=(0, 1), kind=LinPlus(-2, 1, 12)),
+                CostFunction(scope=(1, 0), kind=Spacer(3, 6, 20, 30, 1)),
+            ],
+            w_zero=4,
+        )
+        st = PropState(inst)
+        assert st.eager == [True, True]
+        st.delta_inf[0][0] = 6  # the lower bound 0 reaches the top
+        assert prune(st, 0, INF)
+        assert st.domains[0].lb == 5 and st.stats.deletions == 5
+        box = {0: (5, 5), 1: (0, 5)}
+        assert st.delta_inf[0] == [
+            brute_min_over_box(fn, {v: box[v] for v in fn.scope}, st.val) for fn in inst.functions
+        ] == [0, 2, 1]
+        assert st.in_queue[0] == propagation.NEIGHBOURS
+
     def test_singleton_wipeout(self):
         inst = Instance(
             "s",
@@ -293,7 +321,7 @@ class TestBoundEnforcement:
         assert intervals(rep) == [(1, 10), (1, 10)]
 
     def test_matches_naive_rescan(self):
-        for inst in suite(25) + [top_constant_instance()]:
+        for inst in suite(25) + [top_constant_instance()] + spacer_chains():
             rep = enforce_bac(PropState(inst))
             naive = naive_bac_fixpoint(inst)
             assert intervals(rep) == [
@@ -345,7 +373,7 @@ class TestJointEnforcement:
             assert intervals(first) == intervals(second)
 
     def test_matches_naive_fixpoint(self):
-        for inst in suite(25) + [top_constant_instance()]:
+        for inst in suite(25) + [top_constant_instance()] + spacer_chains():
             st = PropState(inst)
             rep = enforce_bac_zero(st)
             doms, w0, shifts = naive_bac_zero_fixpoint(inst)
@@ -451,7 +479,7 @@ class TestConfluence:
                 v.domain.size() - d.size() for v, d in zip(inst.variables, rep.domains)
             )
 
-        for inst in suite(15):
+        for inst in suite(15) + spacer_chains():
             base_bac = None
             base_joint = None
             for schedule in range(8):
@@ -483,44 +511,28 @@ class TestConfluence:
 class TestRecordedCounters:
     def test_bound_enforcement_counters(self):
         # The outcome, deletions, projections, pops and trace of this
-        # engine's schedule under each pop order. The lookup ceilings were
-        # recorded with an engine that revised more, and lookups may only
-        # fall below them; three wipeout rows, where this revision order
-        # reaches the wipeout later, carry this engine's count instead.
-        path = os.path.join(os.path.dirname(__file__), "engine_pins.json")
-        with open(path) as fh:
-            pins = json.load(fh)["enforce"]
-        insts = {inst.name: inst for inst in suite(40, max_volume=3000)}
-        enforcers = {"bac": enforce_bac, "bac0": enforce_bac_zero}
+        # engine's schedule under each pop order. Lookups may only fall
+        # below their ceilings; the wipeout rows where a revision order
+        # reached the wipeout later carry that engine's count (see
+        # tests/record_pins.py, which records these rows).
+        pins = record_pins.load()["enforce"]
+        insts = record_pins.instances()
         assert len(pins) == 240 and sum(1 for p in pins if p[3]) > 20
-        for name, consistency, schedule, *want, lookups in pins:
-            rng = None if schedule is None else random.Random(schedule)
-            trace = []
-            rep = enforcers[consistency](PropState(insts[name], pop_rng=rng, trace=trace))
-            lines = "".join(json.dumps(event) + "\n" for event in trace)
-            got = [rep.empty, rep.w_zero, rep.deletions, rep.projections, rep.queue_pops,
-                   hashlib.sha256(lines.encode()).hexdigest()[:16]]
-            assert got == want, (name, consistency, schedule)
-            assert sum(rep.eval_counts) <= lookups, (name, consistency, schedule)
+        for name, *key_want in pins:
+            key, want, lookups = key_want[:2], key_want[2:-1], key_want[-1]
+            got = record_pins.measure("enforce", insts[name], key)
+            assert got[:-1] == want, (name, key)
+            assert got[-1] <= lookups, (name, key)
 
     def test_value_enforcement_counters(self):
         # nc and ac on the binary suite instances: outcome, counters, trace
         # and lookups, exactly.
-        path = os.path.join(os.path.dirname(__file__), "engine_pins.json")
-        with open(path) as fh:
-            pins = json.load(fh)["enforce_values"]
-        insts = {inst.name: inst for inst in suite(40, max_volume=3000)}
-        enforcers = {"nc": enforce_nc, "ac": enforce_ac_star}
+        pins = record_pins.load()["enforce_values"]
+        insts = record_pins.instances()
         assert len(pins) == 72 and sum(1 for p in pins if p[3]) > 10
-        for name, consistency, schedule, *want in pins:
-            rng = None if schedule is None else random.Random(schedule)
-            trace = []
-            st = PropState(insts[name], mode="values", pop_rng=rng, trace=trace)
-            rep = enforcers[consistency](st)
-            lines = "".join(json.dumps(event) + "\n" for event in trace)
-            got = [rep.empty, rep.w_zero, rep.deletions, rep.projections, rep.queue_pops,
-                   hashlib.sha256(lines.encode()).hexdigest()[:16], sum(rep.eval_counts)]
-            assert got == want, (name, consistency, schedule)
+        for name, *key_want in pins:
+            key, want = key_want[:2], key_want[2:]
+            assert record_pins.measure("enforce_values", insts[name], key) == want, (name, key)
 
 
 class TestNodeConsistencyInvariant:

@@ -1,5 +1,3 @@
-import json
-import os
 import random
 import sys
 import time
@@ -16,14 +14,15 @@ from softbounds.core import (
     ValuationStructure,
     Variable,
 )
-from softbounds.costfn import CostFunction, ExtTable
+from softbounds.costfn import CostFunction, ExtTable, Spacer
 from softbounds.generators import gen_spacerchain
 from softbounds.network import Instance, total_cost
 from softbounds.oracle import brute_min_over_box, brute_optimum
 from softbounds.propagation import INF, SUP, PropState, narrow, resume_bounds, resume_values
 from softbounds.search import SearchOptions, solve
 
-from helpers import SUITE_KINDS, binary_only, make_kind, suite
+import record_pins
+from helpers import SUITE_KINDS, binary_only, make_kind, spacer_chains, suite
 
 ALL = ("nc", "ac", "bac", "bac0")
 
@@ -31,11 +30,10 @@ ALL = ("nc", "ac", "bac", "bac0")
 # fixpoint's outcome, counters and trace hash; the "search" rows hold the
 # optima, which no engine change may move, and the path fields under the
 # degree tie-break and cheaper-half order. Deletions, projections and pops
-# follow the revision order. The lookup ceilings were recorded with an
-# engine that revised more, and lookups may only fall below them. The
-# "search_values" rows pin nc and ac searches exactly, lookups included.
-with open(os.path.join(os.path.dirname(__file__), "engine_pins.json")) as _fh:
-    PINS = json.load(_fh)
+# follow the revision order. Lookups may only fall below their ceilings.
+# The "search_values" rows pin nc and ac searches exactly, lookups
+# included. tests/record_pins.py measures and records every row.
+PINS = record_pins.load()
 
 
 class TestExamples:
@@ -58,7 +56,7 @@ class TestExamples:
 
 class TestAgreement:
     def test_matches_brute_force_under_every_consistency(self):
-        for inst in suite(20, max_volume=3000):
+        for inst in suite(20, max_volume=3000) + spacer_chains(max_volume=50000):
             opt = brute_optimum(inst)
             want = opt.cost if opt.feasible else None
             for consistency in ALL:
@@ -183,54 +181,27 @@ class TestOracleDifferential:
 
 
 class TestPinnedResults:
-    def test_bounds_search_matches_recorded_results(self, monkeypatch):
+    def test_bounds_search_matches_recorded_results(self):
         # Status, optimum, witness, nodes and backtracks under bac and bac0,
         # both branchings and both variable orders, and the search's
         # deletions, projections and queue pops; lookups may only fall.
-        states = []
-
-        def recording(*args, **kwargs):
-            states.append(PropState(*args, **kwargs))
-            return states[-1]
-
-        monkeypatch.setattr(search, "PropState", recording)
-        insts = {inst.name: inst for inst in suite(12, max_volume=3000)}
+        insts = record_pins.instances()
         assert len(PINS["search"]) == 96
-        for name, consistency, branching, order, *want, lookups in PINS["search"]:
-            opts = SearchOptions(consistency=consistency, branching=branching, var_order=order)
-            r = solve(insts[name], opts)
-            stats = states[-1].stats
-            witness = None if r.best_assignment is None else [
-                r.best_assignment[i] for i in range(len(r.best_assignment))
-            ]
-            got = [r.status, r.best_cost, witness, r.nodes, r.backtracks,
-                   stats.deletions, stats.projections, stats.queue_pops]
-            assert got == want, (name, consistency, branching, order)
-            assert sum(ov.eval_count for ov in states[-1].overlays) <= lookups, name
+        for name, *key_want in PINS["search"]:
+            key, want, lookups = key_want[:3], key_want[3:-1], key_want[-1]
+            got = record_pins.measure("search", insts[name], key)
+            assert got[:-1] == want, (name, key)
+            assert got[-1] <= lookups, (name, key)
 
-    def test_value_search_matches_recorded_results(self, monkeypatch):
+    def test_value_search_matches_recorded_results(self):
         # nc and ac under both branchings on the binary suite instances:
         # status, optimum, witness, nodes, backtracks, the search's
         # deletions, projections and queue pops, and its lookups, exactly.
-        states = []
-
-        def recording(*args, **kwargs):
-            states.append(PropState(*args, **kwargs))
-            return states[-1]
-
-        monkeypatch.setattr(search, "PropState", recording)
-        insts = {inst.name: inst for inst in suite(40, max_volume=3000)}
+        insts = record_pins.instances()
         assert len(PINS["search_values"]) == 72
-        for name, consistency, branching, *want in PINS["search_values"]:
-            r = solve(insts[name], SearchOptions(consistency=consistency, branching=branching))
-            st = states[-1]
-            witness = None if r.best_assignment is None else [
-                r.best_assignment[i] for i in range(len(r.best_assignment))
-            ]
-            got = [r.status, r.best_cost, witness, r.nodes, r.backtracks, st.stats.deletions,
-                   st.stats.projections, st.stats.queue_pops,
-                   sum(ov.eval_count for ov in st.overlays)]
-            assert got == want, (name, consistency, branching)
+        for name, *key_want in PINS["search_values"]:
+            key, want = key_want[:2], key_want[2:]
+            assert record_pins.measure("search_values", insts[name], key) == want, (name, key)
 
 
 class TestPruningStrength:
@@ -463,10 +434,29 @@ class TestBounds:
         assert result.nodes <= 2
 
     def test_time_limit_holds_inside_one_fixpoint(self):
-        # The second node's resume on this chain moves bounds one value per
-        # revision for about 9 s; checked only between nodes, the limit
-        # would be noticed after it.
-        inst = gen_spacerchain(m=10, L=100000, seed=4)
+        # A zero-cost table on each pair of the chain has no constant-time
+        # pinned minimum, so no variable walks: the second node's resume
+        # moves the bounds one value per queue pop, about 3.7 * 10**5 pops
+        # in about 18 s. Checked only between nodes, the limit would be
+        # noticed after it.
+        chain = gen_spacerchain(m=10, L=100000, seed=4)
+        tables = [CostFunction(scope=(i, i + 1), kind=ExtTable(default=0, table={})) for i in range(9)]
+        inst = Instance(chain.name, chain.valuation, chain.variables, chain.functions + tables)
+        t0 = time.perf_counter()
+        result = solve(inst, SearchOptions(consistency="bac", time_limit=1))
+        assert result.status == "limit"
+        assert time.perf_counter() - t0 < 5
+
+    def test_time_limit_holds_inside_one_walk(self):
+        # The root fixpoint walks the lower bound of x1 up to the smallest
+        # tolerable gap, 5 * 10**7, one value per step and without a queue
+        # pop; the walk alone takes minutes.
+        inst = Instance(
+            "gap",
+            ValuationStructure(10),
+            [Variable(0, Domain(0, 10**8)), Variable(1, Domain(0, 10**8))],
+            [CostFunction(scope=(0, 1), kind=Spacer(5 * 10**7, 5 * 10**7, 10**8, 10**8, 1))],
+        )
         t0 = time.perf_counter()
         result = solve(inst, SearchOptions(consistency="bac", time_limit=1))
         assert result.status == "limit"
