@@ -36,10 +36,16 @@ pinned minimum (unary functions and the kinds marked `constant_pin`) is
 eager: its bound walks inward, re-tested at once, until the first value
 whose full row is below the top. That row is exact, so the variable is
 queued with the NEIGHBOURS event, which revises only the other scope
-variables of its functions. Every other variable is deferred: one value
+variables of its functions. The walk writes its bound once, at its end:
+one trail entry, one `deletions` increase by its width and one trace event,
+however many values it removed. Every other variable is deferred: one value
 goes, its row on that side is zeroed and the side is queued, so the pop
 recomputes it. Re-testing a scanning kind at once would scan partner boxes
 that the pop may see narrower, for more lookups than it saves.
+
+`project_to_zero` skips the box minimization of a function whose box and
+shift are those at which its minimum was last found 0 (`zero_at`), so the
+projecting engine minimizes each function once per box it sees.
 
 During search, `resume_bounds` sweeps every bound only when k - w_zero fell
 below its value at the last completed fixpoint, kept in the trailed
@@ -151,9 +157,10 @@ class PropState:
     `w_zero`, a shift) and `_set_member` for an interior removal.
 
     `trace`, a list or any object with an `append` method, receives one
-    event dict per deletion or projection as it happens. `deadline`, a
-    `time.perf_counter()` value or None, makes the fixpoint loops and the
-    walks of `prune` raise `LimitReached` once it has passed.
+    event dict per deletion or projection as it happens; a walking bound's
+    deletions are one event, whose `amount` is the number of values.
+    `deadline`, a `time.perf_counter()` value or None, makes the fixpoint
+    loops and the walks of `prune` raise `LimitReached` once it has passed.
     """
 
     def __init__(
@@ -185,6 +192,9 @@ class PropState:
         # The bound caches of each side, indexed by INF and SUP.
         self._caches = (self.delta_inf, self.delta_sup)
         self.overlays = [FunctionOverlay() for _ in inst.functions]
+        # Per function, the (box, shift) of its last zero minimum; see
+        # `project_to_zero`.
+        self.zero_at: List[Optional[tuple]] = [None] * len(inst.functions)
         self.queue: deque = deque()
         self.in_queue = [0] * n  # event mask of each variable; 0 when not queued
         self.pop_rng = pop_rng
@@ -361,28 +371,6 @@ class PropState:
                 cells += len(d.removed)
         return cells
 
-    def effective_total(self, t: Dict[int, int]) -> int:
-        """Cost of a complete assignment under the current value-mode
-        reformulation."""
-        self._require_values()
-        valk = self.val.k
-        total = self.w_zero
-        for xi, arr in enumerate(self.unary):
-            total += arr[t[xi] - self.base_lb[xi]]
-            if total >= valk:
-                return valk
-        for fi, fn in enumerate(self.instance.functions):
-            if fn.arity == 1:
-                continue  # absorbed into the unary arrays
-            values = tuple(t[v] for v in fn.scope)
-            if fn.arity == 2:
-                total += self._eff_pair(fi, values)
-            else:
-                total += raw_cost(fn, values, self.val)
-            if total >= valk:
-                return valk
-        return total
-
     def _eff_pair(self, fi: int, values: Tuple[int, int]) -> int:
         fn = self.instance.functions[fi]
         ov = self.overlays[fi]
@@ -438,17 +426,6 @@ def _zero_caches(st: PropState, xi: int, side: int) -> None:
         st._set_cell(row, pos, 0)
 
 
-def _delete_bound(st: PropState, xi: int, side: int) -> None:
-    d = st.domains[xi]
-    v = d.ub if side else d.lb
-    if st.trace is not None:
-        st.trace.append(
-            {"event": "delete", "var": xi, "bound": "sup" if side else "inf", "value": v, "amount": 1}
-        )
-    st.stats.deletions += 1
-    _slide(st, xi, side, v - 1 if side else v + 1)
-
-
 def prune(st: PropState, xi: int, side: int) -> bool:
     """Delete the bound of xi on `side` (INF or SUP) if its combined pinned
     cost reaches the top; returns whether anything was deleted.
@@ -460,10 +437,16 @@ def prune(st: PropState, xi: int, side: int) -> bool:
     until the partial sum reaches the top; the others count 0, a lower
     bound. The walk stops at the first bound whose full row stays below the
     top. That row is exact, so the variable is queued with the NEIGHBOURS
-    event alone. Any other variable deletes one value, resets its row on
-    that side and is queued with that side's event, so the row is
-    recomputed when it is popped: re-testing a scanning kind at once would
-    scan partner boxes that the pop may see narrower.
+    event alone. No pinned minimum reads the walking bound itself, so the
+    walk keeps it in a local and writes it once at the end: one trailed
+    move, one `deletions` increase and one `delete` trace event whose
+    `value` is the first value removed and whose `amount` is the number
+    removed. A deadline that passes mid-walk writes nothing.
+
+    Any other variable deletes one value, resets its row on that side and
+    is queued with that side's event, so the row is recomputed when it is
+    popped: re-testing a scanning kind at once would scan partner boxes
+    that the pop may see narrower.
     """
     d = st.domains[xi]
     if d.is_empty:
@@ -472,35 +455,44 @@ def prune(st: PropState, xi: int, side: int) -> bool:
     top = st.k - st.w_zero
     if sum(row) < top:
         return False
-    _delete_bound(st, xi, side)
-    if not st.eager[xi]:
-        _zero_caches(st, xi, side)
-        st._push(xi, 1 << side)
-        return True
-    fis = st.incident[xi]
-    n = len(fis)
-    # A step starts at the entry that ended the previous one, the first at
-    # the largest cached entry.
-    start = row.index(max(row))
-    while not d.is_empty:
-        st._tick()
-        v = d.ub if side else d.lb
-        alphas = [0] * n
-        total = 0
-        for i in range(n):
-            pos = (start + i) % n
-            alphas[pos] = alpha = _pinned(st, fis[pos], xi, v)
-            total += alpha
-            if total >= top:
+    first, step, end = (d.ub, -1, d.lb - 1) if side else (d.lb, 1, d.ub + 1)
+    v = first + step  # the next bound; `end` is one past the last value
+    if st.eager[xi]:
+        fis = st.incident[xi]
+        n = len(fis)
+        # A step starts at the entry that ended the previous one, the first
+        # at the largest cached entry.
+        start = row.index(max(row))
+        while v != end:
+            st._tick()
+            alphas = [0] * n
+            total = 0
+            for i in range(n):
+                pos = (start + i) % n
+                alphas[pos] = alpha = _pinned(st, fis[pos], xi, v)
+                total += alpha
+                if total >= top:
+                    break
+            else:
+                # The full row is below the top: v is supported, its row exact.
+                for pos in range(n):
+                    st._set_cell(row, pos, alphas[pos])
                 break
-        else:
-            # The full row is below the top: v is supported, its row exact.
-            for pos in range(n):
-                st._set_cell(row, pos, alphas[pos])
-            break
-        start = pos
-        _delete_bound(st, xi, side)
-    st._push(xi, NEIGHBOURS)
+            start = pos
+            v += step
+        events = NEIGHBOURS
+    else:
+        _zero_caches(st, xi, side)
+        events = 1 << side
+    width = abs(v - first)
+    if st.trace is not None:
+        bound = "sup" if side else "inf"
+        st.trace.append(
+            {"event": "delete", "var": xi, "bound": bound, "value": first, "amount": width}
+        )
+    st.stats.deletions += width
+    _slide(st, xi, side, v)
+    st._push(xi, events)
     return True
 
 
@@ -555,19 +547,30 @@ def project_to_zero(st: PropState, fi: int) -> bool:
 
     The amount is recorded in the function's shift so stored costs stay
     untouched; afterwards the function has a zero-effective-cost tuple.
+
+    The minimum depends on the box and the shift alone, so the state
+    remembers in `zero_at` the (box, shift) at which the function's
+    minimum was last 0, after a raise or when nothing moved, and returns
+    False at once while both are unchanged. The key holds all the result
+    depends on, so the memo needs no trail and stays valid across `undo_to`.
     """
     fn = st.instance.functions[fi]
     doms = st.domains
+    ov = st.overlays[fi]
     box = tuple((doms[v].lb, doms[v].ub) for v in fn.scope)
-    alpha = min_over_tuple_box(fn, box, st.val.k, st.overlays[fi])
+    key = (box, ov.delta_shift)
+    if st.zero_at[fi] == key:
+        return False
+    alpha = min_over_tuple_box(fn, box, st.val.k, ov)
     if alpha == 0:
+        st.zero_at[fi] = key
         return False
     st.stats.projections += 1
     if st.trace is not None:
         st.trace.append({"event": "project", "fn": fi, "amount": alpha})
-    ov = st.overlays[fi]
     st._set_attr(st, "w_zero", min(st.k, st.w_zero + alpha))
     st._set_attr(ov, "delta_shift", min(st.val.k, ov.delta_shift + alpha))
+    st.zero_at[fi] = (box, ov.delta_shift)
     return True
 
 

@@ -206,6 +206,26 @@ def effective_total(
     return total
 
 
+def value_mode_total(st, values: Tuple[int, ...]) -> int:
+    """Total cost in the reformulation of a value-mode state: the constant
+    term, the unary arrays (which absorb the unary functions) and each
+    binary function less its two per-value projection offsets."""
+    k = st.val.k
+    total = st.w_zero
+    for xi, arr in enumerate(st.unary):
+        total += arr[values[xi] - st.base_lb[xi]]
+    for fi, fn in enumerate(st.instance.functions):
+        if fn.arity == 1:
+            continue
+        raw = oracle_cost(fn, tuple(values[v] for v in fn.scope), k)
+        if fn.arity == 2 and raw < k:
+            p0, p1 = st.pair_proj[fi]
+            s0, s1 = fn.scope
+            raw -= p0[values[s0] - st.base_lb[s0]] + p1[values[s1] - st.base_lb[s1]]
+        total += raw
+    return min(total, k)
+
+
 def preservation_ok(
     inst: Instance,
     final_domains,

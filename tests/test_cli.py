@@ -111,6 +111,18 @@ class TestPropagate:
         events = [json.loads(line) for line in captured.err.splitlines()]
         assert any(e["event"] == "delete" for e in events)
 
+    @pytest.mark.parametrize("consistency", ["bac", "bac0"])
+    def test_trace_amounts_add_up_to_the_deletions(self, capsys, tmp_path, consistency):
+        # A walking bound is one delete event whose amount is its width.
+        path = tmp_path / "chain.wcsp"
+        path.write_text(emit(gen_spacerchain(m=6, L=1000, seed=4)))
+        main(["propagate", str(path), "--consistency", consistency, "--trace", "--json"])
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        deletes = [e for e in map(json.loads, captured.err.splitlines()) if e["event"] == "delete"]
+        assert rep["deletions"] > len(deletes) > 0
+        assert sum(e["amount"] for e in deletes) == rep["deletions"]
+
     def test_human_format(self, capsys, sum_file):
         code = main(["propagate", sum_file])
         out = capsys.readouterr().out

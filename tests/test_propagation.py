@@ -18,14 +18,16 @@ from softbounds.propagation import (
     enforce_bac,
     enforce_bac_zero,
     enforce_nc,
+    narrow,
     _project_pair,
     project_to_zero,
     project_unary,
     prune,
+    resume_bounds,
 )
 
 import record_pins
-from helpers import binary_only, preservation_ok, spacer_chains, suite
+from helpers import binary_only, preservation_ok, spacer_chains, suite, value_mode_total
 
 
 def intervals(report):
@@ -223,8 +225,7 @@ class TestArcConsistency:
                 orig = fast_total(inst, values)
                 inside = all(st.domains[i].contains(values[i]) for i in range(len(values)))
                 if inside:
-                    t = {i: values[i] for i in range(len(values))}
-                    assert st.effective_total(t) == orig
+                    assert value_mode_total(st, values) == orig
                 else:
                     assert orig >= inst.valuation.k
 
@@ -249,6 +250,25 @@ class TestArcConsistency:
             enforce_ac_star(PropState(inst, mode="values"))
 
 
+def walk_instance():
+    """x0 has only constant-time pinned minima (a unary table, a linplus and
+    a spacer), so one prune walks its lower bound. With the constant term 4
+    and the top 10, a row summing to 6 kills a value: 1 has the unary cost
+    10, 2 has 4 + 8, 3 has 4 + 6 and 4 has 0 + 4 + 2; the row of 5 is
+    0 + 2 + 1."""
+    return Instance(
+        "walk",
+        ValuationStructure(10),
+        [Variable(0, Domain(0, 20)), Variable(1, Domain(0, 5))],
+        [
+            CostFunction(scope=(0,), kind=ExtTable(default=0, table={(1,): 10, (2,): 4, (3,): 4})),
+            CostFunction(scope=(0, 1), kind=LinPlus(-2, 1, 12)),
+            CostFunction(scope=(1, 0), kind=Spacer(3, 6, 20, 30, 1)),
+        ],
+        w_zero=4,
+    )
+
+
 class TestPrune:
     def test_fires_at_top(self, inst_pair_tables):
         st = PropState(inst_pair_tables)
@@ -264,24 +284,9 @@ class TestPrune:
         assert st.domains[0].lb == 0
 
     def test_eager_variable_walks_to_the_first_supported_value(self):
-        # x0 has only constant-time pinned minima (a unary table, a linplus
-        # and a spacer), so one prune walks its lower bound. With the
-        # constant term 4 and the top 10, a row summing to 6 kills a value:
-        # 1 has the unary cost 10, 2 has 4 + 8, 3 has 4 + 6 and 4 has
-        # 0 + 4 + 2; the row of 5 is 0 + 2 + 1.
         from softbounds.oracle import brute_min_over_box
 
-        inst = Instance(
-            "walk",
-            ValuationStructure(10),
-            [Variable(0, Domain(0, 20)), Variable(1, Domain(0, 5))],
-            [
-                CostFunction(scope=(0,), kind=ExtTable(default=0, table={(1,): 10, (2,): 4, (3,): 4})),
-                CostFunction(scope=(0, 1), kind=LinPlus(-2, 1, 12)),
-                CostFunction(scope=(1, 0), kind=Spacer(3, 6, 20, 30, 1)),
-            ],
-            w_zero=4,
-        )
+        inst = walk_instance()
         st = PropState(inst)
         assert st.eager == [True, True]
         st.delta_inf[0][0] = 6  # the lower bound 0 reaches the top
@@ -292,6 +297,38 @@ class TestPrune:
             brute_min_over_box(fn, {v: box[v] for v in fn.scope}, st.val) for fn in inst.functions
         ] == [0, 2, 1]
         assert st.in_queue[0] == propagation.NEIGHBOURS
+
+    def test_walk_writes_its_bound_once(self):
+        # The walk of width 5 moves the bound with one trail entry and
+        # reports one delete event for all five values.
+        trace = []
+        st = PropState(walk_instance(), record_trail=True, trace=trace)
+        st.delta_inf[0][0] = 6
+        mark = st.mark()
+        assert prune(st, 0, INF)
+        d = st.domains[0]
+        assert [entry for entry in st.trail if entry[1] is d] == [(setattr, d, "lb", 0)]
+        assert trace == [{"event": "delete", "var": 0, "bound": "inf", "value": 0, "amount": 5}]
+        assert st.stats.deletions == 5
+        st.undo_to(mark)
+        assert (d.lb, d.ub) == (0, 20) and st.delta_inf[0] == [6, 0, 0]
+
+    def test_walk_to_a_wipeout_writes_once(self):
+        # Every value of x0 costs the top through the unary table, so the
+        # walk of the upper bound empties the domain in one write.
+        inst = Instance(
+            "wipe",
+            ValuationStructure(3),
+            [Variable(0, Domain(2, 6))],
+            [CostFunction(scope=(0,), kind=ExtTable(default=3, table={}))],
+        )
+        trace = []
+        st = PropState(inst, record_trail=True, trace=trace)
+        st.delta_sup[0][0] = 3
+        assert prune(st, 0, SUP)
+        assert st.domains[0].is_empty and st.stats.deletions == 5
+        assert trace == [{"event": "delete", "var": 0, "bound": "sup", "value": 6, "amount": 5}]
+        assert len(st.trail) == 1
 
     def test_singleton_wipeout(self):
         inst = Instance(
@@ -351,6 +388,32 @@ class TestProjectToZero:
         st = PropState(inst)
         assert project_to_zero(st, 0)
         assert st.w_zero == 5
+
+
+    def test_memo_is_keyed_on_box_and_shift(self):
+        # cost max(0, x0 + x1 - 4): 0 over the whole box, 2 once x0 >= 6.
+        # After the raise at x0 in [6, 10] is undone, the same box comes
+        # back with the old shift, and the projection must happen again.
+        inst = Instance(
+            "memo",
+            ValuationStructure(20),
+            [Variable(0, Domain(0, 10)), Variable(1, Domain(0, 10))],
+            [CostFunction(scope=(0, 1), kind=LinPlus(1, 1, -4))],
+        )
+        st = PropState(inst, record_trail=True)
+        enforce_bac_zero(st)
+        mark = st.mark()
+        for _ in range(2):
+            narrow(st, 0, 6, 10)
+            assert not resume_bounds(st, True, [0])
+            assert (st.w_zero, st.overlays[0].delta_shift) == (2, 2)
+            resumed = (st.fingerprint(), repr(st.delta_inf), repr(st.delta_sup))
+            st.undo_to(mark)
+            assert (st.w_zero, st.overlays[0].delta_shift) == (0, 0)
+        fresh = PropState(inst)
+        narrow(fresh, 0, 6, 10)
+        enforce_bac_zero(fresh)
+        assert resumed == (fresh.fingerprint(), repr(fresh.delta_inf), repr(fresh.delta_sup))
 
 
 class TestJointEnforcement:
@@ -596,6 +659,16 @@ class TestSpaceDiscipline:
         enforce_bac_zero(st_big)
         assert st_big.unary is None and st_big.pair_proj is None
         assert all(d.removed is None for d in st_big.domains)
+
+    def test_a_walk_writes_one_trail_entry(self):
+        # 123 000 deletions, almost all in walks; one trail entry per value
+        # deleted would make 133 098 entries.
+        from softbounds.generators import gen_spacerchain
+
+        st = PropState(gen_spacerchain(m=100, L=10**6, seed=42), record_trail=True)
+        rep = enforce_bac(st)
+        assert (rep.deletions, rep.queue_pops) == (123_000, 5_050)
+        assert len(st.trail) <= 15_147
 
     def test_value_mode_allocates_per_value(self):
         inst = Instance(
