@@ -13,22 +13,8 @@ import argparse
 import time
 
 from softbounds.generators import gen_random
-from softbounds.propagation import (
-    PropState,
-    enforce_ac_star,
-    enforce_bac,
-    enforce_bac_zero,
-    enforce_nc,
-    state_mode,
-)
+from softbounds.propagation import ENFORCERS, PropState, state_mode
 from softbounds.search import SearchOptions, solve
-
-ENFORCERS = {
-    "nc": enforce_nc,
-    "ac": enforce_ac_star,
-    "bac": enforce_bac,
-    "bac0": enforce_bac_zero,
-}
 
 
 def main() -> None:

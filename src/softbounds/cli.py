@@ -27,23 +27,15 @@ from .oracle import (
     naive_bac_zero_fixpoint,
 )
 from .propagation import (
+    ENFORCERS,
     ConsistencyReport,
     PropState,
-    enforce_ac_star,
     enforce_bac,
     enforce_bac_zero,
-    enforce_nc,
     state_mode,
 )
 from .reify import compare_strength, enforce_crisp_bc, reify
 from .search import SearchOptions, solve as search_solve
-
-ENFORCERS = {
-    "nc": enforce_nc,
-    "ac": enforce_ac_star,
-    "bac": enforce_bac,
-    "bac0": enforce_bac_zero,
-}
 
 
 def _domains_field(report: ConsistencyReport) -> List[Optional[List[int]]]:

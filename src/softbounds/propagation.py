@@ -47,14 +47,15 @@ that the pop may see narrower, for more lookups than it saves.
 shift are those at which its minimum was last found 0 (`zero_at`), so the
 projecting engine minimizes each function once per box it sees.
 
-During search, `resume_bounds` sweeps every bound only when k - w_zero fell
-below its value at the last completed fixpoint, kept in the trailed
-`fixpoint_slack`; otherwise no row outside the queue can fire. Backward
-checking projects only the functions whose scope has just become fully
-assigned, found through the trailed per-variable `assigned` flags. A
-`deadline` on the state is checked every DEADLINE_POPS units of work, queue
-pops and walk steps, so a time limit holds inside one long fixpoint and
-inside one long walk.
+The bound fixpoint runs in one function, `resume_bounds`; enforcement
+resets every row, queues every variable and resumes. A resume sweeps every
+bound only when k - w_zero fell below its value at the last completed
+resume, kept in the trailed `fixpoint_slack`; otherwise no row outside the
+queue can fire. `backward_check`, run by the search after a bac or nc resume,
+projects only the functions whose scope has just become fully assigned,
+found through the trailed per-variable `assigned` flags. A `deadline` on
+the state is checked every DEADLINE_POPS units of work, queue pops and
+walk steps, so a time limit holds inside one long fixpoint or walk.
 
 The value engines keep NC*: every live value has w_zero plus its unary cost
 below k, and every non-empty domain has a value of zero unary cost. One
@@ -114,11 +115,6 @@ class LimitReached(Exception):
     """A search limit was reached. Raised inside a fixpoint when the state's
     deadline has passed, which leaves the state mid-fixpoint for the
     caller's trail to undo; the search also raises it between nodes."""
-
-
-def state_mode(consistency: str) -> str:
-    """The `PropState` mode that a consistency runs on."""
-    return "values" if consistency in ("nc", "ac") else "interval"
 
 
 def _set_member(items: set, v: int, member: bool) -> None:
@@ -282,17 +278,11 @@ class PropState:
                 self.trail.append((setattr, obj, name, old))
             setattr(obj, name, new)
 
-    def _rm_add(self, xi: int, v: int) -> None:
+    def _set_removed(self, xi: int, v: int, member: bool) -> None:
         removed = self.domains[xi].removed
-        removed.add(v)
+        _set_member(removed, v, member)
         if self.trail is not None:
-            self.trail.append((_set_member, removed, v, False))
-
-    def _rm_discard(self, xi: int, v: int) -> None:
-        removed = self.domains[xi].removed
-        removed.discard(v)
-        if self.trail is not None:
-            self.trail.append((_set_member, removed, v, True))
+            self.trail.append((_set_member, removed, v, not member))
 
     def mark(self) -> int:
         if self.trail is None:
@@ -415,7 +405,7 @@ def _slide(st: PropState, xi: int, side: int, new: int) -> None:
     if d.removed:
         step = -1 if side else 1
         while d.lb <= new <= d.ub and new in d.removed:
-            st._rm_discard(xi, new)
+            st._set_removed(xi, new, False)
             new += step
     st._set_attr(d, "ub" if side else "lb", new)
 
@@ -521,7 +511,7 @@ def narrow(st: PropState, xi: int, lo: int, hi: int) -> None:
     moved = (lo > d.lb) | (hi < d.ub) << 1
     if d.removed:
         for v in [w for w in d.removed if w < lo or w > hi]:
-            st._rm_discard(xi, v)
+            st._set_removed(xi, v, False)
     _slide(st, xi, INF, lo)
     _slide(st, xi, SUP, hi)
     if st.mode == "interval" and moved:
@@ -643,6 +633,9 @@ def _report(st: PropState, empty: bool) -> ConsistencyReport:
 
 
 def _enforce_bounds(st: PropState, project: bool) -> ConsistencyReport:
+    """Enforcement is a resume from the root: every row is reset and every
+    variable queued on both sides, so it is sound even on a state that a
+    deadline left in the middle of a pop."""
     st._require_interval()
     if st.any_empty():
         return _report(st, True)
@@ -650,9 +643,7 @@ def _enforce_bounds(st: PropState, project: bool) -> ConsistencyReport:
         _zero_caches(st, xi, INF)
         _zero_caches(st, xi, SUP)
     st._queue_all()
-    # A constant term at the top is a wipeout even for variables that no
-    # function touches, and no prune would test those.
-    empty = st.w_zero >= st.k or _bound_loop(st, project)
+    empty = resume_bounds(st, project, ())
     if empty:
         _normalize_wipeout(st, project)
     return _report(st, empty)
@@ -669,10 +660,10 @@ def enforce_bac_zero(st: PropState) -> ConsistencyReport:
     return _enforce_bounds(st, project=True)
 
 
-def _backward_check(st: PropState, project_assigned) -> bool:
+def backward_check(st: PropState) -> bool:
     """Backward checking: move the cost of every function whose scope has
-    just become fully assigned onto w_zero with `project_assigned(st, fi)`,
-    in function order.
+    just become fully assigned onto w_zero through its shift, in function
+    order. The search resumes after each move until nothing moves.
 
     Variables are flagged in the trailed `assigned` list the first time a
     pass sees them assigned, so only the functions of newly flagged
@@ -680,6 +671,7 @@ def _backward_check(st: PropState, project_assigned) -> bool:
     projected then and cost nothing more. Returns whether anything moved;
     stops early once w_zero reaches the top.
     """
+    project_assigned = _project_assigned_values if st.mode == "values" else _project_assigned_bounds
     assigned = st.assigned
     fresh = set()
     for xi, d in enumerate(st.domains):
@@ -710,35 +702,31 @@ def _project_assigned_bounds(st: PropState, fi: int) -> bool:
 
 
 def resume_bounds(st: PropState, project: bool, touched: List[int]) -> bool:
-    """Re-establish the fixpoint after search narrowed some domains.
+    """Re-establish the bound fixpoint once after search narrowed some
+    domains, or after backward checking raised w_zero.
 
     `narrow` queues what it changed. Touched variables it did not queue must
-    have had their caches reset and are revised on both sides (the root
-    passes every variable). Caches of untouched variables are still valid
-    lower bounds (boxes only shrank), and none of them fired at the last
-    completed fixpoint, against a slack k - w_zero kept in the trailed
-    `fixpoint_slack`; so the prune sweep over every bound runs only when
-    the slack has fallen below that value, as after a new incumbent.
-    Without projection, fully assigned functions contribute their cost to
-    the constant term (backward checking) until nothing moves. Returns True
-    on wipeout, leaving the state un-normalized for the trail to undo.
+    have had their caches reset and are revised on both sides. Caches of
+    untouched variables are still valid lower bounds (boxes only shrank),
+    and none of them fired at the last completed fixpoint, against a slack
+    k - w_zero kept in the trailed `fixpoint_slack`; so the prune sweep over
+    every bound runs only when the slack has fallen below that value, as
+    after a new incumbent or a backward check. The slack reached is recorded
+    anew. Returns True on wipeout, leaving the state un-normalized for the
+    trail to undo.
     """
     st._require_interval()
     for xi in touched:
         if not st.in_queue[xi]:
             st._push(xi)
-    while True:
-        slack = st.k - st.w_zero
-        if slack <= 0:
-            st._clear_queue()
-            return True
-        if slack < st.fixpoint_slack and _prune_all(st):
-            return True
-        if _bound_loop(st, project):
-            return True
-        if project or not _backward_check(st, _project_assigned_bounds):
-            st._set_attr(st, "fixpoint_slack", st.k - st.w_zero)
-            return False
+    slack = st.k - st.w_zero
+    if slack <= 0:  # a wipeout even over variables that no function touches
+        st._clear_queue()
+        return True
+    if (slack < st.fixpoint_slack and _prune_all(st)) or _bound_loop(st, project):
+        return True
+    st._set_attr(st, "fixpoint_slack", st.k - st.w_zero)
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -783,13 +771,11 @@ def _delete_value(st: PropState, xi: int, v: int) -> None:
     elif v == d.ub:
         _slide(st, xi, SUP, v - 1)
     else:
-        st._rm_add(xi, v)
+        st._set_removed(xi, v, True)
 
 
 def _nc_prune(st: PropState, xi: int) -> bool:
     d = st.domains[xi]
-    if d.is_empty:
-        return False
     base = st.base_lb[xi]
     arr = st.unary[xi]
     changed = False
@@ -834,8 +820,7 @@ def enforce_nc(st: PropState) -> ConsistencyReport:
     st._require_values()
     if st.any_empty():
         return _report(st, True)
-    empty = _nc_fixpoint(st)
-    return _report(st, empty)
+    return _report(st, _nc_fixpoint(st))
 
 
 def _project_pair(st: PropState, fi: int, xi: int, vi: int) -> bool:
@@ -843,13 +828,9 @@ def _project_pair(st: PropState, fi: int, xi: int, vi: int) -> bool:
     through value vi of xi onto vi's unary cost; returns whether it moved."""
     fn = st.instance.functions[fi]
     side = 0 if fn.scope[0] == xi else 1
-    xj = fn.scope[1 - side]
-    dj = st.domains[xj]
-    if dj.is_empty:
-        return False
     valk = st.val.k
     m = None
-    for vj in dj.iter_values():
+    for vj in st.domains[fn.scope[1 - side]].iter_values():
         values = (vi, vj) if side == 0 else (vj, vi)
         c = st._eff_pair(fi, values)
         if m is None or c < m:
@@ -895,9 +876,6 @@ def _ac_loop(st: PropState) -> bool:
             if fn.arity != 2:
                 continue
             xo = fn.scope[0] if fn.scope[1] == xj else fn.scope[1]
-            if st.domains[xo].is_empty:
-                st._clear_queue()
-                return True
             for vo in list(st.domains[xo].iter_values()):
                 _project_pair(st, fi, xo, vo)
             project_unary(st, xo)
@@ -907,12 +885,11 @@ def _ac_loop(st: PropState) -> bool:
                     st._clear_queue()
                     return True
         if st.w_zero > w0_before:
+            # w_zero is still below k (a rise to k wipes xo above), so every
+            # variable keeps its zero-cost value and no domain wipes here.
             for xi in range(n):
                 if _nc_prune(st, xi):
                     st._push(xi)
-                    if st.domains[xi].is_empty:
-                        st._clear_queue()
-                        return True
     return False
 
 
@@ -961,27 +938,32 @@ def _project_assigned_values(st: PropState, fi: int) -> bool:
 
 
 def resume_values(st: PropState, arc: bool, touched: List[int]) -> bool:
-    """Re-establish NC (and arc consistency when `arc`) after narrowing.
+    """Re-establish NC (and arc consistency when `arc`) once after
+    narrowing, or after backward checking raised w_zero.
 
     As in `resume_bounds`, only the touched variables are projected and
     pruned unless k - w_zero has fallen below the trailed `fixpoint_slack`
-    of the last completed resume, which is then recorded anew. Without arc
-    consistency, fully assigned functions contribute their cost to the
-    constant term (backward checking) until nothing moves. Returns True on
-    wipeout.
+    of the last completed resume, which is then recorded anew. Returns True
+    on wipeout.
     """
     st._require_values()
-    while True:
-        if st.w_zero >= st.k or _nc_fixpoint(st, touched):
-            st._clear_queue()
+    if st.w_zero >= st.k or _nc_fixpoint(st, touched):
+        st._clear_queue()
+        return True
+    if arc:
+        for xi in touched:
+            st._push(xi)
+        if _ac_loop(st):
             return True
-        if arc:
-            for xi in touched:
-                st._push(xi)
-            if _ac_loop(st):
-                return True
-            break
-        if not _backward_check(st, _project_assigned_values):
-            break
     st._set_attr(st, "fixpoint_slack", st.k - st.w_zero)
     return False
+
+
+# The enforcer of each consistency by name: the CLI's choices and the names
+# `search.solve` accepts.
+ENFORCERS = {"nc": enforce_nc, "ac": enforce_ac_star, "bac": enforce_bac, "bac0": enforce_bac_zero}
+
+
+def state_mode(consistency: str) -> str:
+    """The `PropState` mode that a consistency runs on."""
+    return "values" if consistency in ("nc", "ac") else "interval"

@@ -14,23 +14,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .core import CapError, ContractError
+from .core import CapError, ContractError, Domain
 from .costfn import raw_cost
 from .network import Instance
 from .propagation import PropState, enforce_bac_zero
 
 # Per-function tuple enumeration bound for reification.
 REIFY_CAP = 10**6
-
-
-@dataclass
-class CrispBounds:
-    lb: int
-    ub: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lb > self.ub
 
 
 @dataclass(frozen=True)
@@ -42,7 +32,7 @@ class ReifiedTable:
 @dataclass
 class CrispNetwork:
     n_mirror: int
-    bounds: List[CrispBounds]  # mirrors first, then cost variables
+    bounds: List[Domain]  # mirrors first, then cost variables
     cost_var_of: List[int]  # function index -> crisp variable id
     tables: List[ReifiedTable]
     k: int
@@ -74,7 +64,7 @@ def reify(inst: Instance) -> CrispNetwork:
         raise ContractError("reification requires a finite top cost")
     k = val.k
     n = len(inst.variables)
-    bounds = [CrispBounds(v.domain.lb, v.domain.ub) for v in inst.variables]
+    bounds = [Domain(v.domain.lb, v.domain.ub) for v in inst.variables]
     cost_var_of = []
     tables = []
     for fi, fn in enumerate(inst.functions):
@@ -94,7 +84,7 @@ def reify(inst: Instance) -> CrispNetwork:
             if inst.w_zero + c < k:
                 rows.append(values + (c,))
         tables.append(ReifiedTable(scope=tuple(fn.scope) + (cost_var,), rows=tuple(rows)))
-        bounds.append(CrispBounds(0, k - 1))
+        bounds.append(Domain(0, k - 1))
     return CrispNetwork(
         n_mirror=n,
         bounds=bounds,
@@ -105,7 +95,7 @@ def reify(inst: Instance) -> CrispNetwork:
     )
 
 
-def _supported(table: ReifiedTable, bounds: List[CrispBounds], pos: int, value: int) -> bool:
+def _supported(table: ReifiedTable, bounds: List[Domain], pos: int, value: int) -> bool:
     for row in table.rows:
         if row[pos] != value:
             continue
@@ -128,13 +118,11 @@ def enforce_crisp_bc(net: CrispNetwork) -> CrispReport:
     bound rule onto the cost variables. Support search enumerates rows in
     order; this module exists for desk-scale comparison, not speed.
     """
-    bounds = [CrispBounds(b.lb, b.ub) for b in net.bounds]
+    bounds = [b.copy() for b in net.bounds]
     deletions = 0
 
     def report(empty: bool) -> CrispReport:
-        out: List[Optional[Tuple[int, int]]] = []
-        for b in bounds:
-            out.append(None if b.is_empty else (b.lb, b.ub))
+        out = [None if b.is_empty else (b.lb, b.ub) for b in bounds]
         return CrispReport(empty=empty, bounds=out, deletions=deletions)
 
     changed = True
@@ -143,19 +131,14 @@ def enforce_crisp_bc(net: CrispNetwork) -> CrispReport:
         for table in net.tables:
             for pos, var in enumerate(table.scope):
                 b = bounds[var]
-                while not b.is_empty and not _supported(table, bounds, pos, b.lb):
-                    b.lb += 1
-                    deletions += 1
-                    changed = True
+                # Once lb is supported, ub stops at lb at the latest: shrinking
+                # ub keeps lb's supporting row inside the boxes.
+                for bound, step in (("lb", 1), ("ub", -1)):
+                    while not b.is_empty and not _supported(table, bounds, pos, getattr(b, bound)):
+                        setattr(b, bound, getattr(b, bound) + step)
+                        deletions += 1
+                        changed = True
                 if b.is_empty:
-                    return report(True)
-                while not b.is_empty and b.ub > b.lb and not _supported(
-                    table, bounds, pos, b.ub
-                ):
-                    b.ub -= 1
-                    deletions += 1
-                    changed = True
-                if not _supported(table, bounds, pos, b.ub):
                     return report(True)
         if net.cost_var_of:
             lb_sum = sum(bounds[c].lb for c in net.cost_var_of)

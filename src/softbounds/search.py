@@ -23,8 +23,10 @@ from .costfn import raw_cost  # noqa: F401
 from .network import Instance, total_cost
 from .propagation import (
     AC_VALUE_CAP,
+    ENFORCERS,
     LimitReached,
     PropState,
+    backward_check,
     narrow,
     require_binary_scopes,
     resume_bounds,
@@ -32,8 +34,6 @@ from .propagation import (
     state_mode,
     upper_half_first,
 )
-
-CONSISTENCIES = ("nc", "ac", "bac", "bac0")
 
 
 @dataclass
@@ -107,10 +107,19 @@ class _Searcher:
             raise LimitReached
 
     def _enforce(self, touched: List[int]) -> bool:
+        """Resume the consistency; returns True on wipeout. Under bac and nc,
+        whose fixpoints do not project assigned functions themselves,
+        backward checking follows, and each move is resumed with nothing
+        touched until nothing moves."""
         c = self.opts.consistency
-        if c in ("bac", "bac0"):
-            return resume_bounds(self.st, project=c == "bac0", touched=touched)
-        return resume_values(self.st, arc=c == "ac", touched=touched)
+        while True:
+            if c in ("bac", "bac0"):
+                empty = resume_bounds(self.st, project=c == "bac0", touched=touched)
+            else:
+                empty = resume_values(self.st, arc=c == "ac", touched=touched)
+            if empty or c in ("bac0", "ac") or not backward_check(self.st):
+                return empty
+            touched = []
 
     def _dfs(self) -> None:
         """Depth-first search over an explicit stack with one entry per open
@@ -184,7 +193,7 @@ class _Searcher:
 
 def solve(inst: Instance, opts: SearchOptions) -> SearchResult:
     """Exact optimum (with witness) or proof of infeasibility below k."""
-    if opts.consistency not in CONSISTENCIES:
+    if opts.consistency not in ENFORCERS:
         raise ContractError(f"unknown consistency {opts.consistency!r}")
     if opts.branching not in ("dichotomic", "enumerate"):
         raise ContractError(f"unknown branching {opts.branching!r}")

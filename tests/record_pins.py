@@ -32,14 +32,7 @@ import random
 import sys
 
 from softbounds import search
-from softbounds.propagation import (
-    PropState,
-    enforce_ac_star,
-    enforce_bac,
-    enforce_bac_zero,
-    enforce_nc,
-    state_mode,
-)
+from softbounds.propagation import ENFORCERS, PropState, state_mode
 from softbounds.search import SearchOptions
 
 from helpers import suite
@@ -54,8 +47,6 @@ CEILINGS = ("search", "enforce")
 ENFORCE_FIELDS = ("empty", "w0", "deletions", "projections", "pops", "trace", "lookups")
 SEARCH_FIELDS = ("status", "optimum", "witness", "nodes", "backtracks", "deletions",
                  "projections", "pops", "lookups")
-
-ENFORCERS = {"nc": enforce_nc, "ac": enforce_ac_star, "bac": enforce_bac, "bac0": enforce_bac_zero}
 
 
 def instances() -> dict:

@@ -172,6 +172,16 @@ class TestSolve:
         assert captured.out == "" and "limit" in captured.err
 
 
+class TestTiming:
+    @pytest.mark.parametrize("command", ["propagate", "solve"])
+    def test_timing_adds_wall_ms_alone(self, capsys, sum_file, command):
+        _, plain = run_json(capsys, [command, sum_file, "--json"])
+        code, timed = run_json(capsys, [command, sum_file, "--json", "--timing"])
+        wall_ms = timed.pop("wall_ms")
+        assert type(wall_ms) is int and wall_ms >= 0
+        assert code == 0 and timed == plain
+
+
 class TestGen:
     def test_emits_parseable_text(self, capsys):
         assert main(["gen", "random", "--n", "4", "--d", "5", "--e", "4", "--seed", "3"]) == 0

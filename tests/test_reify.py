@@ -79,7 +79,7 @@ class TestReify:
             reify(inst)
 
 
-class TestCrispBounds:
+class TestCrispFiltering:
     def test_pair_tables_stays_consistent(self, inst_pair_tables):
         # Each single table supports every bound, so crisp filtering leaves
         # the reified network intact even though joint filtering wipes it.

@@ -24,14 +24,6 @@ def _run(script, *args):
     return proc.stdout.splitlines()
 
 
-def test_domain_scaling_cells_do_not_grow():
-    lines = _run("domain_scaling.py", "--widths", "1000", "10000")
-    assert lines[0].split() == ["L", "cells", "deletions", "w0", "ms", "value", "mode"]
-    rows = [line.split() for line in lines[1:]]
-    assert [row[0] for row in rows] == ["1000", "10000"]
-    assert len({row[1] for row in rows}) == 1
-
-
 def test_compare_consistencies_runs():
     lines = _run("compare_consistencies.py", "--seeds", "1")
     assert lines[0].split() == ["instance", "mode", "w0", "empty", "nodes", "backtracks", "ms"]

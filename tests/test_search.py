@@ -18,7 +18,15 @@ from softbounds.costfn import CostFunction, ExtTable, Spacer
 from softbounds.generators import gen_spacerchain
 from softbounds.network import Instance, total_cost
 from softbounds.oracle import brute_min_over_box, brute_optimum
-from softbounds.propagation import INF, SUP, PropState, narrow, resume_bounds, resume_values
+from softbounds.propagation import (
+    INF,
+    SUP,
+    PropState,
+    backward_check,
+    narrow,
+    resume_bounds,
+    resume_values,
+)
 from softbounds.search import SearchOptions, solve
 
 import record_pins
@@ -213,9 +221,16 @@ class TestPruningStrength:
 
 
 def _resume(st, consistency, touched):
-    if consistency in ("bac", "bac0"):
-        return resume_bounds(st, project=consistency == "bac0", touched=touched)
-    return resume_values(st, arc=consistency == "ac", touched=touched)
+    """Resume as the search does: under bac and nc, backward checking
+    follows, and each move is resumed with nothing touched."""
+    while True:
+        if consistency in ("bac", "bac0"):
+            empty = resume_bounds(st, project=consistency == "bac0", touched=touched)
+        else:
+            empty = resume_values(st, arc=consistency == "ac", touched=touched)
+        if empty or consistency in ("bac0", "ac") or not backward_check(st):
+            return empty
+        touched = []
 
 
 def _trailed(st):
@@ -433,6 +448,13 @@ class TestBounds:
         assert result.status == "limit"
         assert result.nodes <= 2
 
+    @pytest.mark.parametrize("consistency", ALL)
+    def test_time_limit_zero_stops_before_the_root(self, inst_linplus_sum, consistency):
+        # The deadline has passed when the root is visited, so the check
+        # between nodes stops the search before it counts one.
+        result = solve(inst_linplus_sum, SearchOptions(consistency=consistency, time_limit=0))
+        assert (result.status, result.nodes, result.best_cost) == ("limit", 0, None)
+
     def test_time_limit_holds_inside_one_fixpoint(self):
         # A zero-cost table on each pair of the chain has no constant-time
         # pinned minimum, so no variable walks: the second node's resume
@@ -482,6 +504,10 @@ class TestOptionValidation:
                 solve(inst_linplus_sum, opts)
         result = solve(inst_linplus_sum, SearchOptions(time_limit=float("inf")))
         assert (result.status, result.best_cost) == ("optimal", 2)
+
+    def test_initial_ub_must_be_at_least_one(self, inst_linplus_sum):
+        with pytest.raises(ContractError):
+            solve(inst_linplus_sum, SearchOptions(initial_ub=0))
 
     def test_enumerate_needs_narrow_domains(self):
         inst = Instance(
