@@ -34,7 +34,7 @@ from .propagation import (
     enforce_bac_zero,
     state_mode,
 )
-from .reify import compare_strength, enforce_crisp_bc, reify
+from .reify import compare_strength, reify
 from .search import SearchOptions, solve as search_solve
 
 
@@ -192,12 +192,11 @@ def _cmd_reify(args) -> int:
         "sum_bound": net.sum_bound,
     }
     if args.compare:
-        strength = compare_strength(inst)
+        strength = compare_strength(inst, net)
         out["bac0_empty"] = strength.bac0_empty
         out["reified_bc_empty"] = strength.reified_bc_empty
-        crisp = enforce_crisp_bc(net)
         out["reified_bounds"] = [
-            None if b is None else list(b) for b in crisp.bounds
+            None if b is None else list(b) for b in strength.crisp.bounds
         ]
         _print_report(out, args.json)
         return 1 if strength.bac0_empty else 0

@@ -21,9 +21,6 @@ position in scope order, trusts it to be non-empty and adds its raw lookups
 to the overlay's `eval_count`. The engines call it through
 `min_over_tuple_box`; the public `min_over_box` and `min_over_box_pinned`
 validate a box keyed by variable id, convert it and call the same code.
-A kind whose `box_min` costs a constant number of lookups whenever one
-position is pinned, whatever the width of the others, sets the class
-attribute `constant_pin`; the bound engines re-test such rows at once.
 
 Minimization works on *effective* costs raw(t) - delta_shift, where
 delta_shift records cost already moved to the network's constant term. The
@@ -95,7 +92,6 @@ class ExtTable:
     """
 
     name: ClassVar[str] = "ext"
-    constant_pin: ClassVar[bool] = False
 
     default: int
     table: Dict[Tuple[int, ...], int]
@@ -169,23 +165,35 @@ class ExtTable:
         # Iterate whichever of (box tuples, stored entries) is smaller; either
         # way the number of lookups stays within the box volume. The sparse
         # path is what keeps huge sparse unary tables affordable.
+        table, default = self.table, self.default
+        vol = 1
+        for lo, hi in box:
+            vol *= hi - lo + 1
+        if len(table) < vol:
+            # Some tuple of the box is unlisted, so the default is reachable;
+            # at or below the shift, nothing in the box costs less.
+            if default <= shift:
+                ov.eval_count += 1
+                return default
+            if len(box) == 2:
+                (ilo, ihi), (jlo, jhi) = box
+                inside = [
+                    c for (vi, vj), c in table.items() if ilo <= vi <= ihi and jlo <= vj <= jhi
+                ]
+            else:
+                inside = [
+                    c for values, c in table.items()
+                    if all(lo <= w <= hi for w, (lo, hi) in zip(values, box))
+                ]
+            inside.append(default)
+            ov.eval_count += len(inside)
+            return min(inside)
         if len(box) == 2:
             return self._binary_min(box, shift, ov)
-        table, default = self.table, self.default
-        ranges = [range(lo, hi + 1) for lo, hi in box]
-        vol = 1
-        for r in ranges:
-            vol *= len(r)
-        if len(table) < vol:
-            inside = [
-                c for values, c in table.items()
-                if all(w in r for w, r in zip(values, ranges))
-            ]
-            return self._entries_min(inside, vol, ov)
         get = table.get
         best = None
         n = 0
-        for values in itertools.product(*ranges):
+        for values in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
             n += 1
             c = get(values, default)
             if best is None or c < best:
@@ -196,17 +204,11 @@ class ExtTable:
         return best
 
     def _binary_min(self, box, shift, ov) -> int:
-        # `box_min` on two ranges, looped over directly: the common case.
+        # The dense scan of `box_min` on two ranges, looped over directly:
+        # the common case.
         (ilo, ihi), (jlo, jhi) = box
-        table = self.table
+        get, default = self.table.get, self.default
         width = jhi - jlo + 1
-        vol = (ihi - ilo + 1) * width
-        if len(table) < vol:
-            inside = [
-                c for (vi, vj), c in table.items() if ilo <= vi <= ihi and jlo <= vj <= jhi
-            ]
-            return self._entries_min(inside, vol, ov)
-        get, default = table.get, self.default
         best = None
         for vi in range(ilo, ihi + 1):
             for vj in range(jlo, jhi + 1):
@@ -216,17 +218,7 @@ class ExtTable:
                     if best <= shift:
                         ov.eval_count += (vi - ilo) * width + vj - jlo + 1
                         return best
-        ov.eval_count += vol
-        return best
-
-    def _entries_min(self, inside, vol: int, ov) -> int:
-        # The minimum over the table entries inside a box of `vol` tuples.
-        ov.eval_count += len(inside)
-        best = min(inside) if inside else None
-        if len(inside) < vol:
-            ov.eval_count += 1  # the default cost is reachable inside the box
-            if best is None or self.default < best:
-                best = self.default
+        ov.eval_count += (ihi - ilo + 1) * width
         return best
 
     def _semiconvex_min(self, scope, box, shift, ov) -> int:
@@ -256,7 +248,6 @@ class _Binary:
     """
 
     name: ClassVar[str]
-    constant_pin: ClassVar[bool] = False
 
     def check(self, scope, bounds: Box, val: ValuationStructure) -> None:
         if len(scope) != 2:
@@ -345,7 +336,6 @@ class MonoLeq(_Binary):
     """Cost 0 iff v_i + delta <= v_j, else alpha."""
 
     name: ClassVar[str] = "monoleq"
-    constant_pin: ClassVar[bool] = True
 
     delta: int
     alpha: int
@@ -369,7 +359,6 @@ class LinPlus(_Binary):
     """
 
     name: ClassVar[str] = "linplus"
-    constant_pin: ClassVar[bool] = True
 
     a: int
     b: int
@@ -394,7 +383,6 @@ class Spacer(_Binary):
     """
 
     name: ClassVar[str] = "spacer"
-    constant_pin: ClassVar[bool] = True
 
     d1: int
     d2: int

@@ -14,34 +14,29 @@ The bound cache of a variable's side is its row of per-function
 contributions, one exact integer per incident function and nothing else:
 pruning compares w_zero plus the sum of the row against the current top.
 This is equivalent to the saturating update-and-test formulation (a
-saturated sum always fires the prune that resets the row) and stays
+saturated sum always fires the prune that moves the bound) and stays
 well-defined when search tightens the top mid-run.
 
 The interval queue carries side events: a queued variable holds the mask
-of its bounds that moved. `prune` queues the side it deleted, `narrow` the
-sides it moved, and touched variables not queued yet get both. Popping a
-variable recomputes the other scope variables of its functions on both
-sides, and its own entries only on the sides that moved, at the pop or
-since, or on both sides when the function's shift was just raised (every
-entry is then too high). An entry that is not recomputed was taken over
-boxes that have only shrunk since, so it is still a lower bound; whatever
-shrank them is queued, and its pop recomputes the entry. So every row is
-exact at a fixpoint. The domains, w_zero and shifts reached, and the
-deletions of a consistent outcome, do not depend on the schedule; queue
-pops, lookups, the order of trace events and the deletions made before a
-wipeout follow the revision order.
+of its bounds that moved. `narrow` queues the sides it moved, touched
+variables not queued yet get both, and `prune`, whose walk leaves the row
+exact, queues NEIGHBOURS alone. Popping a variable recomputes the other
+scope variables of its functions on both sides, and its own entries only
+on the sides that moved, or on both sides when the function's shift was
+just raised (every entry is then too high). An entry that is not
+recomputed was taken over boxes that have only shrunk since, so it is
+still a lower bound; whatever shrank them is queued, and its pop
+recomputes the entry. So every row is exact at a fixpoint. The domains,
+w_zero and shifts reached, and the deletions of a consistent outcome, do
+not depend on the schedule; queue pops, lookups, the order of trace events
+and the deletions made before a wipeout follow the revision order.
 
-`prune` has two rules. A variable whose every function has a constant-time
-pinned minimum (unary functions and the kinds marked `constant_pin`) is
-eager: its bound walks inward, re-tested at once, until the first value
-whose full row is below the top. That row is exact, so the variable is
-queued with the NEIGHBOURS event, which revises only the other scope
-variables of its functions. The walk writes its bound once, at its end:
-one trail entry, one `deletions` increase by its width and one trace event,
-however many values it removed. Every other variable is deferred: one value
-goes, its row on that side is zeroed and the side is queued, so the pop
-recomputes it. Re-testing a scanning kind at once would scan partner boxes
-that the pop may see narrower, for more lookups than it saves.
+`prune` has one rule: a bound whose row reaches the top walks inward,
+re-tested at once, until the first value whose full row is below the top.
+That row is exact, so the variable is queued with the NEIGHBOURS event,
+which revises only the other scope variables of its functions. The walk
+writes its bound once, at its end: one trail entry, one `deletions`
+increase by its width and one trace event, however many values it removed.
 
 `project_to_zero` skips the box minimization of a function whose box and
 shift are those at which its minimum was last found 0 (`zero_at`), so the
@@ -153,8 +148,9 @@ class PropState:
     `w_zero`, a shift) and `_set_member` for an interior removal.
 
     `trace`, a list or any object with an `append` method, receives one
-    event dict per deletion or projection as it happens; a walking bound's
-    deletions are one event, whose `amount` is the number of values.
+    event dict per deletion or projection as it happens; the deletions of
+    one walk of a bound are one event, whose `amount` is the number of
+    values.
     `deadline`, a `time.perf_counter()` value or None, makes the fixpoint
     loops and the walks of `prune` raise `LimitReached` once it has passed.
     """
@@ -198,12 +194,6 @@ class PropState:
         self.trace = trace
         self.deadline: Optional[float] = None
         self.ticks = 0  # queue pops and walk steps, for the deadline
-        # Variables whose rows `prune` re-tests at once (see there).
-        fns = inst.functions
-        self.eager = [
-            bool(fis) and all(fns[fi].arity == 1 or fns[fi].kind.constant_pin for fi in fis)
-            for fis in self.incident
-        ]
         # Backward checking: variables already seen assigned on this branch.
         self.assigned = [False] * n
         # k - w_zero when the last resume completed: no untouched row reaches
@@ -417,26 +407,20 @@ def _zero_caches(st: PropState, xi: int, side: int) -> None:
 
 
 def prune(st: PropState, xi: int, side: int) -> bool:
-    """Delete the bound of xi on `side` (INF or SUP) if its combined pinned
-    cost reaches the top; returns whether anything was deleted.
+    """Delete the bound of xi on `side` (INF or SUP) while its combined
+    pinned cost reaches the top; returns whether anything was deleted.
 
-    A variable whose every function has a constant-time pinned minimum
-    (`st.eager`) walks: the bound is deleted for as long as its row,
-    recomputed at the new bound, reaches the top. Each step evaluates the
-    functions one at a time, from the one that ended the previous step,
-    until the partial sum reaches the top; the others count 0, a lower
-    bound. The walk stops at the first bound whose full row stays below the
-    top. That row is exact, so the variable is queued with the NEIGHBOURS
-    event alone. No pinned minimum reads the walking bound itself, so the
-    walk keeps it in a local and writes it once at the end: one trailed
-    move, one `deletions` increase and one `delete` trace event whose
-    `value` is the first value removed and whose `amount` is the number
-    removed. A deadline that passes mid-walk writes nothing.
-
-    Any other variable deletes one value, resets its row on that side and
-    is queued with that side's event, so the row is recomputed when it is
-    popped: re-testing a scanning kind at once would scan partner boxes
-    that the pop may see narrower.
+    The bound walks: it is deleted for as long as its row, recomputed at
+    the new bound, reaches the top. Each step evaluates the functions one
+    at a time, from the one that ended the previous step, until the partial
+    sum reaches the top; the others count 0, a lower bound. The walk stops
+    at the first bound whose full row stays below the top. That row is
+    exact, so the variable is queued with the NEIGHBOURS event alone. No
+    pinned minimum reads the walking bound itself, so the walk keeps it in
+    a local and writes it once at the end: one trailed move, one
+    `deletions` increase and one `delete` trace event whose `value` is the
+    first value removed and whose `amount` is the number removed. A
+    deadline that passes mid-walk writes nothing.
     """
     d = st.domains[xi]
     if d.is_empty:
@@ -447,33 +431,29 @@ def prune(st: PropState, xi: int, side: int) -> bool:
         return False
     first, step, end = (d.ub, -1, d.lb - 1) if side else (d.lb, 1, d.ub + 1)
     v = first + step  # the next bound; `end` is one past the last value
-    if st.eager[xi]:
-        fis = st.incident[xi]
-        n = len(fis)
-        # A step starts at the entry that ended the previous one, the first
-        # at the largest cached entry.
-        start = row.index(max(row))
-        while v != end:
-            st._tick()
-            alphas = [0] * n
-            total = 0
-            for i in range(n):
-                pos = (start + i) % n
-                alphas[pos] = alpha = _pinned(st, fis[pos], xi, v)
-                total += alpha
-                if total >= top:
-                    break
-            else:
-                # The full row is below the top: v is supported, its row exact.
-                for pos in range(n):
-                    st._set_cell(row, pos, alphas[pos])
+    fis = st.incident[xi]
+    n = len(fis)
+    # A step starts at the entry that ended the previous one, the first at
+    # the largest cached entry. The empty row of a variable without
+    # functions reaches only a top at or below 0, and every value goes.
+    pos = row.index(max(row)) if n else 0
+    while v != end:
+        st._tick()
+        start = pos
+        alphas = [0] * n
+        total = 0
+        for i in range(n):
+            pos = (start + i) % n
+            alphas[pos] = alpha = _pinned(st, fis[pos], xi, v)
+            total += alpha
+            if total >= top:
                 break
-            start = pos
-            v += step
-        events = NEIGHBOURS
-    else:
-        _zero_caches(st, xi, side)
-        events = 1 << side
+        if total < top:
+            # The full row is below the top: v is supported, its row exact.
+            for pos in range(n):
+                st._set_cell(row, pos, alphas[pos])
+            break
+        v += step
     width = abs(v - first)
     if st.trace is not None:
         bound = "sup" if side else "inf"
@@ -482,7 +462,7 @@ def prune(st: PropState, xi: int, side: int) -> bool:
         )
     st.stats.deletions += width
     _slide(st, xi, side, v)
-    st._push(xi, events)
+    st._push(xi, NEIGHBOURS)
     return True
 
 
@@ -568,14 +548,13 @@ def _bound_loop(st: PropState, project: bool) -> bool:
     """Queue-driven fixpoint; returns True when the network wiped out.
 
     Popping xj revises every incident function: the other scope variables
-    on both sides, and xj's own entries on the sides that moved (at the pop
-    or since), or on both sides when the function's shift was just raised.
+    on both sides, and xj's own entries on the sides that moved, or on both
+    sides when the function's shift was just raised.
     An entry left alone is still a lower bound, and the pop of whatever
     shrank its box recomputes it.
     """
     functions = st.instance.functions
     caches = st._caches
-    in_queue = st.in_queue
     stats = st.stats
     while st.queue:
         xj, moved = st._pop()
@@ -593,7 +572,7 @@ def _bound_loop(st: PropState, project: bool) -> bool:
             for xi in functions[fi].scope:
                 slot = st.slot_of[xi][fi]
                 d = st.domains[xi]
-                sides = BOTH if raised or xi != xj else (moved | in_queue[xj]) & BOTH
+                sides = BOTH if raised or xi != xj else moved & BOTH
                 for side in _SIDES[sides]:
                     alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
                     st._set_cell(caches[side][xi], slot, alpha)

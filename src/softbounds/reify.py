@@ -156,18 +156,23 @@ def enforce_crisp_bc(net: CrispNetwork) -> CrispReport:
 @dataclass(frozen=True)
 class StrengthReport:
     bac0_empty: bool
-    reified_bc_empty: bool
+    crisp: CrispReport  # crisp bound filtering of the reified network
+
+    @property
+    def reified_bc_empty(self) -> bool:
+        return self.crisp.empty
 
 
-def compare_strength(inst: Instance) -> StrengthReport:
-    """Run both filters and check the one provable implication: if crisp
-    bound filtering wipes the reified network, the joint interval fixpoint
-    must wipe the original."""
+def compare_strength(inst: Instance, net: CrispNetwork) -> StrengthReport:
+    """Run the joint interval fixpoint on the instance and crisp bound
+    filtering on `net`, its reification `reify(inst)`, and check the one
+    provable implication: if crisp bound filtering wipes the reified
+    network, the joint interval fixpoint must wipe the original."""
     rep = enforce_bac_zero(PropState(inst))
-    crisp = enforce_crisp_bc(reify(inst))
+    crisp = enforce_crisp_bc(net)
     if crisp.empty and not rep.empty:
         raise ContractError(
             "crisp bound filtering emptied the reified network but the "
             "interval fixpoint did not; this contradicts the strength ordering"
         )
-    return StrengthReport(bac0_empty=rep.empty, reified_bc_empty=crisp.empty)
+    return StrengthReport(bac0_empty=rep.empty, crisp=crisp)

@@ -11,7 +11,8 @@ tests compare:
   lookups included.
 
 Run as a script, it measures every row with the current engines, prints
-every row that changed with the fields that moved, and rewrites the file.
+every row that changed with the fields that moved and each section's lookup
+total, recorded -> measured, and rewrites the file.
 A lookup ceiling becomes min(old, new). A wipeout enforce row, whose
 deletions before the wipeout follow the revision order, carries the new
 count when it is above its ceiling. The script writes nothing and exits
@@ -109,9 +110,12 @@ def main() -> int:
     for section, rows in pins.items():
         n = KEY_LEN[section]
         names = ENFORCE_FIELDS if section.startswith("enforce") else SEARCH_FIELDS
+        totals = [0, 0]
         for idx, row in enumerate(rows):
             name, key, old = row[0], row[1:n], row[n:]
             new = measure(section, insts[name], key)
+            totals[0] += old[-1]
+            totals[1] += new[-1]
             moved = [(f, a, b) for f, a, b in zip(names, old, new) if a != b]
             bad = [f for f, _, _ in moved if f in fixed_fields(section, old)]
             if section in CEILINGS and not (section == "enforce" and new[0]):
@@ -124,6 +128,7 @@ def main() -> int:
                       + (f" (refused: {', '.join(bad)})" if bad else ""))
             refused = refused or bool(bad)
             rows[idx] = row[:n] + new
+        print(f"{section}: lookups {totals[0]} -> {totals[1]}")
     if refused:
         print("a row moved a schedule-free field or rose above its ceiling; nothing written")
         return 1

@@ -175,10 +175,10 @@ def test_criterion_06_strength_ordering(inst_pair_tables):
                 if not dj.is_empty:
                     assert dp.lb <= dj.lb and dj.ub <= dp.ub, inst.name
             if binary_only(inst):
-                report = compare_strength(inst)
+                report = compare_strength(inst, reify(inst))
                 if report.reified_bc_empty:
                     assert report.bac0_empty, inst.name
-        witness = compare_strength(inst_pair_tables)
+        witness = compare_strength(inst_pair_tables, reify(inst_pair_tables))
         assert witness.bac0_empty and not witness.reified_bc_empty
 
     _verdict(6, "joint filtering dominates, strictly on the witness", body)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -229,6 +230,26 @@ class TestReify:
         assert code == 1
         assert rep["bac0_empty"] is True
         assert rep["reified_bc_empty"] is False
+
+    def test_compare_reifies_and_filters_once(self, capsys, monkeypatch, pair_file):
+        from softbounds import cli
+
+        # The package exports the function `reify` under the module's name.
+        reify = importlib.import_module("softbounds.reify")
+        calls = {"reify": 0, "enforce_crisp_bc": 0}
+        for name in calls:
+            original = getattr(reify, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (cli, reify):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        assert main(["reify", pair_file, "--compare"]) == 1
+        capsys.readouterr()
+        assert calls == {"reify": 1, "enforce_crisp_bc": 1}
 
     def test_dump_shape(self, capsys, pair_file):
         code, rep = run_json(capsys, ["reify", pair_file, "--json"])

@@ -251,11 +251,10 @@ class TestArcConsistency:
 
 
 def walk_instance():
-    """x0 has only constant-time pinned minima (a unary table, a linplus and
-    a spacer), so one prune walks its lower bound. With the constant term 4
-    and the top 10, a row summing to 6 kills a value: 1 has the unary cost
-    10, 2 has 4 + 8, 3 has 4 + 6 and 4 has 0 + 4 + 2; the row of 5 is
-    0 + 2 + 1."""
+    """x0 meets a unary table, a linplus and a spacer, and one prune walks
+    its lower bound. With the constant term 4 and the top 10, a row summing
+    to 6 kills a value: 1 has the unary cost 10, 2 has 4 + 8, 3 has 4 + 6
+    and 4 has 0 + 4 + 2; the row of 5 is 0 + 2 + 1."""
     return Instance(
         "walk",
         ValuationStructure(10),
@@ -269,13 +268,40 @@ def walk_instance():
     )
 
 
+def table_walk_instance():
+    """x0 meets only tables: a sparse one with x1 (default 6, listing 1 at
+    x1 = 0 for x0 >= 3) and a dense one with x2 (4 on x0 < 5, else x2's
+    value). With the top 10, the values 0 to 2 cost 6 + 4 and the row of 3
+    is 1 + 4."""
+    return Instance(
+        "table-walk",
+        ValuationStructure(10),
+        [Variable(0, Domain(0, 9)), Variable(1, Domain(0, 19)), Variable(2, Domain(0, 3))],
+        [
+            CostFunction(
+                scope=(0, 1),
+                kind=ExtTable(default=6, table={(v, 0): 1 for v in range(3, 10)}),
+            ),
+            CostFunction(
+                scope=(0, 2),
+                kind=ExtTable(
+                    default=0,
+                    table={(v, w): 4 if v < 5 else w for v in range(10) for w in range(4)},
+                ),
+            ),
+        ],
+    )
+
+
 class TestPrune:
     def test_fires_at_top(self, inst_pair_tables):
+        # Every value of x0 costs the top 2 over the two tables, so the
+        # lower bound walks through the whole domain.
         st = PropState(inst_pair_tables)
         st.delta_inf[0][0] = 2  # combined pinned contributions of the lower bound
         assert prune(st, 0, INF)
-        assert st.domains[0].lb == 1
-        assert all(v == 0 for v in st.delta_inf[0])
+        assert (st.domains[0].lb, st.domains[0].ub) == (4, 3)
+        assert st.stats.deletions == 4
 
     def test_guard_below_top(self, inst_pair_tables):
         st = PropState(inst_pair_tables)
@@ -283,19 +309,25 @@ class TestPrune:
         assert not prune(st, 0, INF)
         assert st.domains[0].lb == 0
 
-    def test_eager_variable_walks_to_the_first_supported_value(self):
+    @pytest.mark.parametrize(
+        "make,lb,row",
+        [(walk_instance, 5, [0, 2, 1]), (table_walk_instance, 3, [1, 4])],
+        ids=["mixed", "tables"],
+    )
+    def test_bound_walks_to_the_first_supported_value(self, make, lb, row):
         from softbounds.oracle import brute_min_over_box
 
-        inst = walk_instance()
+        inst = make()
         st = PropState(inst)
-        assert st.eager == [True, True]
-        st.delta_inf[0][0] = 6  # the lower bound 0 reaches the top
+        st.delta_inf[0][0] = st.k - st.w_zero  # the lower bound 0 reaches the top
         assert prune(st, 0, INF)
-        assert st.domains[0].lb == 5 and st.stats.deletions == 5
-        box = {0: (5, 5), 1: (0, 5)}
+        assert st.domains[0].lb == lb and st.stats.deletions == lb
+        box = {v.id: (v.domain.lb, v.domain.ub) for v in inst.variables}
+        box[0] = (lb, lb)
+        fns = [inst.functions[fi] for fi in st.incident[0]]
         assert st.delta_inf[0] == [
-            brute_min_over_box(fn, {v: box[v] for v in fn.scope}, st.val) for fn in inst.functions
-        ] == [0, 2, 1]
+            brute_min_over_box(fn, {v: box[v] for v in fn.scope}, st.val) for fn in fns
+        ] == row
         assert st.in_queue[0] == propagation.NEIGHBOURS
 
     def test_walk_writes_its_bound_once(self):
@@ -635,16 +667,18 @@ class TestDeadline:
         "enforce,mode",
         [(enforce_bac, "interval"), (enforce_bac_zero, "interval"), (enforce_ac_star, "values")],
     )
-    def test_passed_deadline_stops_the_fixpoint(self, monkeypatch, inst_pair_tables, enforce, mode):
+    def test_passed_deadline_stops_the_fixpoint(self, monkeypatch, inst_linplus_sum, enforce, mode):
+        # No value of this instance is ever deleted, so the fixpoint's only
+        # units of work are queue pops, and the first one stops it.
         monkeypatch.setattr(propagation, "DEADLINE_POPS", 1)
-        st = PropState(inst_pair_tables, mode=mode)
+        st = PropState(inst_linplus_sum, mode=mode)
         st.deadline = time.perf_counter()
         with pytest.raises(LimitReached):
             enforce(st)
         assert st.stats.queue_pops == 1
-        st = PropState(inst_pair_tables, mode=mode)
+        st = PropState(inst_linplus_sum, mode=mode)
         st.deadline = time.perf_counter() + 3600
-        assert enforce(st) == enforce(PropState(inst_pair_tables, mode=mode))
+        assert enforce(st) == enforce(PropState(inst_linplus_sum, mode=mode))
 
 
 class TestSpaceDiscipline:
@@ -687,8 +721,8 @@ class TestTrace:
         st = PropState(inst_pair_tables, trace=trace)
         enforce_bac(st)
         deletes = [e for e in trace if e["event"] == "delete"]
-        assert len(deletes) == 4  # the first variable loses all four values
-        assert all(e["var"] == 0 for e in deletes)
+        # The first variable loses all four values in one walk.
+        assert deletes == [{"event": "delete", "var": 0, "bound": "inf", "value": 0, "amount": 4}]
 
     def test_projection_event(self, inst_linplus_sum):
         trace = []

@@ -155,11 +155,11 @@ def _apply_shifts(inst, st):
 
 class TestStrength:
     def test_pair_tables_witnesses_strictness(self, inst_pair_tables):
-        report = compare_strength(inst_pair_tables)
+        report = compare_strength(inst_pair_tables, reify(inst_pair_tables))
         assert report.bac0_empty and not report.reified_bc_empty
 
     def test_sum_instance_both_consistent(self, inst_linplus_sum):
-        report = compare_strength(inst_linplus_sum)
+        report = compare_strength(inst_linplus_sum, reify(inst_linplus_sum))
         assert not report.bac0_empty and not report.reified_bc_empty
 
     def test_all_hard_unary(self):
@@ -169,14 +169,14 @@ class TestStrength:
             [Variable(0, Domain(0, 1))],
             [CostFunction(scope=(0,), kind=ExtTable(default=2, table={}))],
         )
-        report = compare_strength(inst)
+        report = compare_strength(inst, reify(inst))
         assert report.bac0_empty and report.reified_bc_empty
 
     def test_implication_on_suite(self):
         for inst in suite(20):
             if not inst.valuation.is_finite or not binary_only(inst):
                 continue
-            report = compare_strength(inst)
+            report = compare_strength(inst, reify(inst))
             if report.reified_bc_empty:
                 assert report.bac0_empty, inst.name
 

@@ -15,7 +15,6 @@ from softbounds.core import (
     Variable,
 )
 from softbounds.costfn import CostFunction, ExtTable, Spacer
-from softbounds.generators import gen_spacerchain
 from softbounds.network import Instance, total_cost
 from softbounds.oracle import brute_min_over_box, brute_optimum
 from softbounds.propagation import (
@@ -456,14 +455,19 @@ class TestBounds:
         assert (result.status, result.nodes, result.best_cost) == ("limit", 0, None)
 
     def test_time_limit_holds_inside_one_fixpoint(self):
-        # A zero-cost table on each pair of the chain has no constant-time
-        # pinned minimum, so no variable walks: the second node's resume
-        # moves the bounds one value per queue pop, about 3.7 * 10**5 pops
-        # in about 18 s. Checked only between nodes, the limit would be
-        # noticed after it.
-        chain = gen_spacerchain(m=10, L=100000, seed=4)
-        tables = [CostFunction(scope=(i, i + 1), kind=ExtTable(default=0, table={})) for i in range(9)]
-        inst = Instance(chain.name, chain.valuation, chain.variables, chain.functions + tables)
+        # Each pinned minimum of the shared dense table scans all 2 000
+        # partner values, every one costing 1, and no row reaches the top,
+        # so the root fixpoint deletes nothing: its 2 500 queue pops, about
+        # 9 s, are its only units of work. Checked only between nodes, the
+        # limit would be noticed after it.
+        width = 2000
+        kind = ExtTable(default=1, table={(0, w): 1 for w in range(width)})
+        inst = Instance(
+            "scan",
+            ValuationStructure(10),
+            [Variable(i, Domain(0, width - 1)) for i in range(2500)],
+            [CostFunction(scope=(i, i + 1), kind=kind) for i in range(2499)],
+        )
         t0 = time.perf_counter()
         result = solve(inst, SearchOptions(consistency="bac", time_limit=1))
         assert result.status == "limit"

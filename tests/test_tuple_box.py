@@ -41,8 +41,8 @@ KINDS = (
 # each kind's scan reads and where it stops, a count the shared code of the
 # engine and public paths could not catch drifting on its own.
 LOOKUP_TOTALS = {
-    "table_sparse": 425,
-    "table_sparse3": 667,
+    "table_sparse": 394,
+    "table_sparse3": 615,
     "table_dense": 579,
     "table_dense3": 766,
     "semiconvex": 847,
@@ -163,6 +163,8 @@ def test_tuple_box_matches_oracle_and_public_lookups(kind_name):
 
 
 def test_sparse_and_dense_table_paths_are_both_taken():
+    # A sparse box reaches the default: at or below the shift it is the
+    # minimum at once, above it the entries inside the box are scanned.
     def volume(box):
         vol = 1
         for lo, hi in box:
@@ -171,9 +173,14 @@ def test_sparse_and_dense_table_paths_are_both_taken():
 
     for kind_name in ("table_sparse", "table_sparse3", "table_dense", "table_dense3"):
         paths = set()
-        for fn, _val, _box, _pin, _pb, tbox, _shift in _cases(kind_name, 60):
-            paths.add("sparse" if len(fn.kind.table) < volume(tbox) else "dense")
-        want = {"dense"} if kind_name.startswith("table_dense") else {"sparse", "dense"}
+        for fn, _val, _box, _pin, _pb, tbox, shift in _cases(kind_name, 60):
+            if len(fn.kind.table) >= volume(tbox):
+                paths.add("dense")
+            else:
+                paths.add("sparse scan" if fn.kind.default > shift else "sparse default")
+        want = {"dense"}
+        if kind_name.startswith("table_sparse"):
+            want |= {"sparse scan", "sparse default"}
         assert paths == want, (kind_name, paths)
 
 
