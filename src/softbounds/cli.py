@@ -11,15 +11,16 @@ passed so that default output stays byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional
 
 from .core import CapError, SolverError
 from .fileformat import emit, parse_path
-from .generators import gen_random, gen_satellite, gen_spacerchain
-from .network import Instance
+from .generators import GENERATORS
 from .oracle import (
     OracleBudget,
     brute_optimum,
@@ -35,7 +36,7 @@ from .propagation import (
     state_mode,
 )
 from .reify import compare_strength, reify
-from .search import SearchOptions, solve as search_solve
+from .search import BRANCHINGS, VAR_ORDERS, SearchOptions, solve as search_solve
 
 
 def _domains_field(report: ConsistencyReport) -> List[Optional[List[int]]]:
@@ -82,14 +83,7 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = parse_path(args.file)
-    opts = SearchOptions(
-        consistency=args.consistency,
-        initial_ub=args.ub,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        branching=args.branching,
-        var_order=args.var_order,
-    )
+    opts = SearchOptions(**{f.name: getattr(args, f.name) for f in fields(SearchOptions)})
     t0 = time.perf_counter()
     result = search_solve(inst, opts)
     wall_ms = int((time.perf_counter() - t0) * 1000)
@@ -115,20 +109,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "random":
-        inst = gen_random(
-            n=args.n,
-            d=args.d,
-            e=args.e,
-            tightness=args.tightness,
-            max_cost=args.max_cost,
-            k=args.k,
-            seed=args.seed,
-        )
-    elif args.kind == "satellite":
-        inst = gen_satellite(N=args.N, horizon=args.horizon, seed=args.seed)
-    else:
-        inst = gen_spacerchain(m=args.m, L=args.L, k=args.k, seed=args.seed)
+    gen = GENERATORS[args.kind]
+    # A flag left unset is None and takes the generator's own default.
+    given = {name: getattr(args, name) for name in inspect.signature(gen).parameters}
+    inst = gen(**{name: value for name, value in given.items() if value is not None})
     text = emit(inst)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -221,37 +205,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="branch-and-bound to the optimum")
     p.add_argument("file")
-    p.add_argument("--consistency", choices=sorted(ENFORCERS), default="bac0")
-    p.add_argument("--ub", type=int, default=None, help="initial exclusive upper bound")
-    p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--branching", choices=("dichotomic", "enumerate"), default="dichotomic")
+    p.add_argument("--consistency", choices=sorted(ENFORCERS))
+    p.add_argument(
+        "--ub", dest="initial_ub", metavar="UB", type=int, help="initial exclusive upper bound"
+    )
+    p.add_argument("--node-limit", type=int)
+    p.add_argument("--time-limit", type=float)
+    p.add_argument("--branching", choices=BRANCHINGS)
     p.add_argument(
         "--var-order",
-        choices=("min_domain", "lex"),
-        default="min_domain",
-        help="min_domain: fewest live values, ties to the most incident "
-        "functions, then the lowest id; lex: the lowest unassigned id "
-        "(dichotomic branching tries the cheaper-looking half first)",
+        choices=VAR_ORDERS,
+        help="fewest live values first, ties to the most incident functions, "
+        "then the lowest id; or the lowest unassigned id",
     )
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=_cmd_solve)
+    # Each search option defaults as `SearchOptions` declares it.
+    p.set_defaults(func=_cmd_solve, **asdict(SearchOptions()))
 
     p = sub.add_parser("gen", help="emit a generated instance")
-    p.add_argument("kind", choices=("random", "satellite", "spacerchain"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("kind", choices=GENERATORS)
     p.add_argument("--out", default=None)
+    # Parameters without a library default keep these; the rest default to
+    # unset, which leaves the generator's default in force.
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--d", type=int, default=9)
     p.add_argument("--e", type=int, default=7)
-    p.add_argument("--tightness", type=float, default=0.4)
-    p.add_argument("--max-cost", type=int, default=4)
-    p.add_argument("--k", type=int, default=10)
     p.add_argument("--N", type=int, default=6)
-    p.add_argument("--horizon", type=int, default=12)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--L", type=int, default=1000)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tightness", type=float)
+    p.add_argument("--max-cost", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--horizon", type=int)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="cross-check engines against brute force")

@@ -175,16 +175,10 @@ class ExtTable:
             if default <= shift:
                 ov.eval_count += 1
                 return default
-            if len(box) == 2:
-                (ilo, ihi), (jlo, jhi) = box
-                inside = [
-                    c for (vi, vj), c in table.items() if ilo <= vi <= ihi and jlo <= vj <= jhi
-                ]
-            else:
-                inside = [
-                    c for values, c in table.items()
-                    if all(lo <= w <= hi for w, (lo, hi) in zip(values, box))
-                ]
+            inside = [
+                c for values, c in table.items()
+                if all(lo <= w <= hi for w, (lo, hi) in zip(values, box))
+            ]
             inside.append(default)
             ov.eval_count += len(inside)
             return min(inside)
@@ -438,6 +432,7 @@ KINDS = {
     cls.name: cls
     for cls in (ExtTable, FunctionalEq, AntiFunctionalNeq, MonoLeq, LinPlus, Spacer)
 }
+_KIND_TYPES = frozenset(KINDS.values())
 
 
 @dataclass(frozen=True)
@@ -597,12 +592,15 @@ def validate_semiconvex(
     return True, None
 
 
-def check_function(fn: CostFunction, bounds: Box, val: ValuationStructure) -> None:
-    """Structural validation used at construction and load time."""
-    if fn.arity == 0:
+def check_function(fn: CostFunction, bounds: Box, val: ValuationStructure, kind=True) -> None:
+    """Structural validation used at construction and load time; the kind's
+    own check, which may scan a whole table, runs only with `kind`."""
+    scope = fn.scope
+    if not scope:
         raise ContractError("cost functions must have a non-empty scope")
-    if len(set(fn.scope)) != fn.arity:
-        raise ContractError(f"scope {fn.scope} repeats a variable")
-    if type(fn.kind) not in KINDS.values():
+    if len(set(scope)) != len(scope):
+        raise ContractError(f"scope {scope} repeats a variable")
+    if type(fn.kind) not in _KIND_TYPES:
         raise ContractError(f"unknown cost kind {type(fn.kind).__name__}")
-    fn.kind.check(fn.scope, bounds, val)
+    if kind:
+        fn.kind.check(scope, bounds, val)

@@ -188,6 +188,8 @@ def _parse_fun(lines, lineno, toks, val, var_interval) -> CostFunction:
         if not 0 <= default <= val.k:
             raise ParseError(lineno, f"default cost {default} outside [0, {val.k}]")
         count = _int(args[r + 2], lineno, "tuple count")
+        if count < 0:
+            raise ParseError(lineno, f"tuple count must be at least 0, got {count}")
         table = _read_table(lines, lineno, count, intervals, val.k)
         return CostFunction(scope=scope, kind=ExtTable(default=default, table=table))
 

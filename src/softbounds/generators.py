@@ -150,3 +150,7 @@ def gen_spacerchain(m: int, L: int, k: int = 24, seed: int = 0) -> Instance:
         functions=functions,
         w_zero=0,
     )
+
+
+# The generator of each `gen` kind by name: the CLI's choices.
+GENERATORS = {"random": gen_random, "satellite": gen_satellite, "spacerchain": gen_spacerchain}

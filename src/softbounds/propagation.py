@@ -351,18 +351,6 @@ class PropState:
                 cells += len(d.removed)
         return cells
 
-    def _eff_pair(self, fi: int, values: Tuple[int, int]) -> int:
-        fn = self.instance.functions[fi]
-        ov = self.overlays[fi]
-        ov.eval_count += 1
-        raw = raw_cost(fn, values, self.val)
-        if raw >= self.val.k:
-            return self.val.k
-        p0, p1 = self.pair_proj[fi]
-        b0 = self.base_lb[fn.scope[0]]
-        b1 = self.base_lb[fn.scope[1]]
-        return raw - p0[values[0] - b0] - p1[values[1] - b1]
-
 
 # ----------------------------------------------------------------------
 # Interval engines
@@ -501,7 +489,7 @@ def narrow(st: PropState, xi: int, lo: int, hi: int) -> None:
 
 
 def upper_half_first(st: PropState, xi: int, mid: int) -> bool:
-    """Whether a dichotomic branch on xi should try [mid + 1, ub] before
+    """Whether a branch that halves xi at `mid` should try [mid + 1, ub] before
     [lb, mid]: in interval mode when the row of the upper bound, exact at a
     fixpoint, sums below that of the lower bound; in value mode when the
     lowest live value of least unary cost lies above `mid`. Ties go to the
@@ -767,7 +755,7 @@ def _nc_prune(st: PropState, xi: int) -> bool:
     return changed
 
 
-def _nc_fixpoint(st: PropState, touched: Optional[List[int]] = None) -> bool:
+def _nc_fixpoint(st: PropState, touched: List[int]) -> bool:
     """Node-consistency (NC*) fixpoint; returns True on wipeout.
 
     One pass suffices: after every variable is projected, each non-empty
@@ -775,19 +763,18 @@ def _nc_fixpoint(st: PropState, touched: Optional[List[int]] = None) -> bool:
     deletes that value only when w_zero has reached k and the domain wipes
     out. With no variable to wipe, w_zero at k is the wipeout.
 
-    With `touched`, NC* held at the last completed resume with the slack
-    `fixpoint_slack`, and only the touched variables have changed since:
-    the others still hold a zero-cost value and no value at or above that
-    slack, so only the touched variables are projected, and every variable
-    is pruned only when k - w_zero has fallen below it.
+    Enforcement touches every variable. A resume touches those changed
+    since the last completed resume, at whose slack `fixpoint_slack` NC*
+    held: the others still hold a zero-cost value and no value at or above
+    that slack, so only the touched variables are projected, and every
+    variable is pruned only when k - w_zero has fallen below it.
     """
-    n = len(st.domains)
-    variables = range(n) if touched is None else touched
-    for xi in variables:
+    for xi in touched:
         if not st.domains[xi].is_empty:
             project_unary(st, xi)
+    variables = touched
     if st.k - st.w_zero < st.fixpoint_slack:
-        variables = range(n)
+        variables = range(len(st.domains))
     for xi in variables:
         if _nc_prune(st, xi) and st.domains[xi].is_empty:
             return True
@@ -799,39 +786,46 @@ def enforce_nc(st: PropState) -> ConsistencyReport:
     st._require_values()
     if st.any_empty():
         return _report(st, True)
-    return _report(st, _nc_fixpoint(st))
+    return _report(st, _nc_fixpoint(st, list(range(len(st.domains)))))
 
 
-def _project_pair(st: PropState, fi: int, xi: int, vi: int) -> bool:
-    """Move the least effective cost of binary function fi over the pairs
-    through value vi of xi onto vi's unary cost; returns whether it moved."""
+def _project_pairs(st: PropState, fi: int, xo: int) -> None:
+    """For each live value of xo, move the least effective cost of binary
+    function fi over the pairs through that value onto its unary cost. The
+    partner's values and offsets, which this leaves alone, are read once."""
     fn = st.instance.functions[fi]
-    side = 0 if fn.scope[0] == xi else 1
-    valk = st.val.k
-    m = None
-    for vj in st.domains[fn.scope[1 - side]].iter_values():
-        values = (vi, vj) if side == 0 else (vj, vi)
-        c = st._eff_pair(fi, values)
-        if m is None or c < m:
-            m = c
-            if m == 0:
-                return False
-    st.stats.projections += 1
-    if st.trace is not None:
-        st.trace.append(
-            {"event": "project_binary", "fn": fi, "var": xi, "value": vi, "amount": m}
-        )
-    i = vi - st.base_lb[xi]
-    arr = st.unary[xi]
-    if m >= valk:
-        # All pairs through this value are intolerable; the value is doomed
-        # and the offsets stay untouched.
-        st._set_cell(arr, i, valk)
-        return True
-    proj = st.pair_proj[fi][side]
-    st._set_cell(proj, i, proj[i] + m)
-    st._set_cell(arr, i, min(valk, arr[i] + m))
-    return True
+    side = 0 if fn.scope[0] == xo else 1
+    xp = fn.scope[1 - side]
+    val, valk = st.val, st.val.k
+    ov = st.overlays[fi]
+    proj, other = st.pair_proj[fi][side], st.pair_proj[fi][1 - side]
+    base, pbase = st.base_lb[xo], st.base_lb[xp]
+    partner = [(vp, other[vp - pbase]) for vp in st.domains[xp].iter_values()]
+    arr = st.unary[xo]
+    for vo in list(st.domains[xo].iter_values()):
+        i = vo - base
+        own = proj[i]
+        m = None
+        for vp, offset in partner:
+            ov.eval_count += 1
+            raw = raw_cost(fn, (vo, vp) if side == 0 else (vp, vo), val)
+            c = valk if raw >= valk else raw - own - offset
+            if m is None or c < m:
+                m = c
+                if m == 0:
+                    break
+        if m == 0:
+            continue
+        st.stats.projections += 1
+        if st.trace is not None:
+            st.trace.append({"event": "project_binary", "fn": fi, "var": xo, "value": vo, "amount": m})
+        if m >= valk:
+            # All pairs through this value are intolerable; the value is
+            # doomed and the offsets stay untouched.
+            st._set_cell(arr, i, valk)
+        else:
+            st._set_cell(proj, i, own + m)
+            st._set_cell(arr, i, min(valk, arr[i] + m))
 
 
 def _ac_loop(st: PropState) -> bool:
@@ -855,8 +849,7 @@ def _ac_loop(st: PropState) -> bool:
             if fn.arity != 2:
                 continue
             xo = fn.scope[0] if fn.scope[1] == xj else fn.scope[1]
-            for vo in list(st.domains[xo].iter_values()):
-                _project_pair(st, fi, xo, vo)
+            _project_pairs(st, fi, xo)
             project_unary(st, xo)
             if _nc_prune(st, xo):
                 st._push(xo)
@@ -888,7 +881,7 @@ def enforce_ac_star(st: PropState) -> ConsistencyReport:
     require_binary_scopes(st.instance, "per-value arc enforcement is defined for")
     if st.any_empty():
         return _report(st, True)
-    if _nc_fixpoint(st):
+    if _nc_fixpoint(st, list(range(len(st.domains)))):
         return _report(st, True)
     st._queue_all()
     return _report(st, _ac_loop(st))

@@ -11,8 +11,8 @@ fixpoint, and is strictly weaker on some inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .core import CapError, ContractError, Domain
 from .costfn import raw_cost

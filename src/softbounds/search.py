@@ -35,6 +35,10 @@ from .propagation import (
     upper_half_first,
 )
 
+# The names `solve` accepts for `branching` and `var_order`; the first is the default.
+BRANCHINGS = ("dichotomic", "enumerate")
+VAR_ORDERS = ("min_domain", "lex")
+
 
 @dataclass
 class SearchOptions:
@@ -57,8 +61,8 @@ class SearchOptions:
     initial_ub: Optional[int] = None
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
-    branching: str = "dichotomic"  # or "enumerate"
-    var_order: str = "min_domain"  # or "lex"
+    branching: str = BRANCHINGS[0]
+    var_order: str = VAR_ORDERS[0]
 
 
 @dataclass
@@ -69,6 +73,21 @@ class SearchResult:
     nodes: int
     backtracks: int
     incumbents: List[int] = field(default_factory=list)
+
+
+def resume_node(st: PropState, consistency: str, touched: List[int]) -> bool:
+    """Resume `consistency` at a search node after `touched` narrowed;
+    returns True on wipeout. Under bac and nc, whose fixpoints do not
+    project assigned functions themselves, backward checking follows, and
+    each move is resumed with nothing touched until nothing moves."""
+    while True:
+        if consistency in ("bac", "bac0"):
+            empty = resume_bounds(st, project=consistency == "bac0", touched=touched)
+        else:
+            empty = resume_values(st, arc=consistency == "ac", touched=touched)
+        if empty or consistency in ("bac0", "ac") or not backward_check(st):
+            return empty
+        touched = []
 
 
 class _Searcher:
@@ -106,21 +125,6 @@ class _Searcher:
         if deadline is not None and time.perf_counter() > deadline:
             raise LimitReached
 
-    def _enforce(self, touched: List[int]) -> bool:
-        """Resume the consistency; returns True on wipeout. Under bac and nc,
-        whose fixpoints do not project assigned functions themselves,
-        backward checking follows, and each move is resumed with nothing
-        touched until nothing moves."""
-        c = self.opts.consistency
-        while True:
-            if c in ("bac", "bac0"):
-                empty = resume_bounds(self.st, project=c == "bac0", touched=touched)
-            else:
-                empty = resume_values(self.st, arc=c == "ac", touched=touched)
-            if empty or c in ("bac0", "ac") or not backward_check(self.st):
-                return empty
-            touched = []
-
     def _dfs(self) -> None:
         """Depth-first search over an explicit stack with one entry per open
         node: the trail mark taken after its enforcement, its branching
@@ -146,7 +150,7 @@ class _Searcher:
         self._check_limits()
         self.nodes += 1
         st = self.st
-        if self._enforce(touched):
+        if resume_node(st, self.opts.consistency, touched):
             if stack:  # below the root
                 self.backtracks += 1
             return
@@ -195,9 +199,9 @@ def solve(inst: Instance, opts: SearchOptions) -> SearchResult:
     """Exact optimum (with witness) or proof of infeasibility below k."""
     if opts.consistency not in ENFORCERS:
         raise ContractError(f"unknown consistency {opts.consistency!r}")
-    if opts.branching not in ("dichotomic", "enumerate"):
+    if opts.branching not in BRANCHINGS:
         raise ContractError(f"unknown branching {opts.branching!r}")
-    if opts.var_order not in ("min_domain", "lex"):
+    if opts.var_order not in VAR_ORDERS:
         raise ContractError(f"unknown variable order {opts.var_order!r}")
     # `not >= 0` also refuses NaN, which no clock reading would ever exceed.
     if opts.time_limit is not None and not opts.time_limit >= 0:

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from softbounds.cli import main
 from softbounds.fileformat import emit
-from softbounds.generators import gen_random, gen_spacerchain
+from softbounds.generators import GENERATORS, gen_random, gen_spacerchain
 
 
 @pytest.fixture
@@ -198,6 +199,18 @@ class TestGen:
         main(["gen", "satellite", "--N", "4", "--seed", "5"])
         second = capsys.readouterr().out
         assert first == second
+
+    # A value for each parameter that has no default in the library.
+    REQUIRED = {"random": {"n": 4, "d": 5, "e": 3}, "satellite": {"N": 4}, "spacerchain": {"m": 3, "L": 100}}
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_unset_flags_take_the_generator_defaults(self, capsys, kind):
+        gen, required = GENERATORS[kind], self.REQUIRED[kind]
+        params = inspect.signature(gen).parameters.values()
+        assert set(required) == {p.name for p in params if p.default is p.empty}
+        flags = [tok for name, value in required.items() for tok in (f"--{name}", str(value))]
+        assert main(["gen", kind, *flags]) == 0
+        assert capsys.readouterr().out == emit(gen(**required))
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "g.wcsp"

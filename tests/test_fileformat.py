@@ -141,6 +141,23 @@ NEGATIVE = [
     ("wcsp t\nk 5\nvar 0 0 1\nvar 1 0 1\nfun ext 2 0 1 0 0\ntag semiconvex 9 asc\n", 6, "variable 9 not in scope (0, 1)"),
     ("wcsp t\nk 5\nvar 0 0 x\n", 3, "integer"),
     ("wcsp t\nk 5\nw0 2\nw0 2\n", 4, "duplicate w0"),
+    ("wcsp t\nk 5\nvar 0 0 1\nfun ext 1 0 0 -1\n", 4, "tuple count must be at least 0"),
+    ("wcsp t\nk 5 6\n", 2, "expected 'k <int|inf>'"),
+    (f"wcsp t\nk {INFINITY}\n", 2, "infinity sentinel"),
+    ("wcsp t\nk 5\nw0\n", 3, "expected 'w0 <int>'"),
+    ("wcsp t\nk 5\nvar 0 1\n", 3, "expected 'var <id> <lb> <ub>'"),
+    ("wcsp t\nk 5\nfun\n", 3, "truncated fun"),
+    ("wcsp t\nk 5\nvar 0 0 1\nfun ext 1 0\n", 4, "expected 'fun ext <r> <ids...> <default> <t>'"),
+    ("wcsp t\nk 5\nvar 0 0 1\nfun ext 0 0 0\n", 4, "arity must be at least 1"),
+    ("wcsp t\nk 5\nvar 0 0 1\nfun ext 2 0 0 0\n", 4, "expected 2 variable ids"),
+    ("wcsp t\nk 5\nvar 0 0 1\nfun ext 2 0 0 0 0\n", 4, "repeats a variable"),
+    ("wcsp t\nk 5\nvar 0 0 1\nfun ext 1 0 9 0\n", 4, "default cost 9 outside [0, 5]"),
+    ("wcsp t\nk 5\nvar 0 0 1\nvar 1 0 1\nfun ext 2 0 1 0 0\ntag semiconvex 0 up\n", 6, "expected 'tag semiconvex"),
+    (
+        "wcsp t\nk 5\nvar 0 0 1\nvar 1 0 1\nfun ext 2 0 1 0 0\ntag semiconvex 0 asc\ntag semiconvex 0 asc\n",
+        7,
+        "already carries",
+    ),
 ]
 
 

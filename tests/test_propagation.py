@@ -19,7 +19,7 @@ from softbounds.propagation import (
     enforce_bac_zero,
     enforce_nc,
     narrow,
-    _project_pair,
+    _project_pairs,
     project_to_zero,
     project_unary,
     prune,
@@ -49,7 +49,7 @@ def assert_nc_star(st, where):
         assert all(st.w_zero + c < st.k for c in costs.values()), (where, xi)
         assert min(costs.values()) == 0, (where, xi)
     before = (st.fingerprint(), vars(st.stats).copy())
-    assert not propagation._nc_fixpoint(st), where
+    assert not propagation._nc_fixpoint(st, list(range(len(st.domains)))), where
     assert (st.fingerprint(), vars(st.stats)) == before, where
 
 
@@ -107,8 +107,10 @@ class TestBinaryProjection:
         from softbounds.propagation import _delete_value
 
         _delete_value(st, 0, 0)
-        assert _project_pair(st, 2, 0, 1)
-        assert unary_map(st, 0)[1] == 1  # binary minimum 1 moved onto the value
+        _project_pairs(st, 2, 0)
+        assert st.stats.projections == 1
+        assert unary_map(st, 0) == {1: 1}  # binary minimum 1 moved onto the value
+        assert st.pair_proj[2] == ([0, 1], [0, 0])
 
     def test_noop_with_existing_support(self):
         table = {(0, 0): 2}
@@ -119,7 +121,11 @@ class TestBinaryProjection:
             [CostFunction(scope=(0, 1), kind=ExtTable(default=0, table=table))],
         )
         st = PropState(inst, mode="values")
-        assert not _project_pair(st, 0, 0, 0)  # pair (0,1) already costs 0
+        before = st.fingerprint(), [list(a) for a in st.unary]
+        for xo in (0, 1):  # every value has a pair of cost 0
+            _project_pairs(st, 0, xo)
+        assert st.stats.projections == 0
+        assert (st.fingerprint(), [list(a) for a in st.unary]) == before
 
     def test_random_tables_move_exact_minimum(self):
         rng = random.Random(5)
@@ -138,17 +144,17 @@ class TestBinaryProjection:
                 [CostFunction(scope=(0, 1), kind=ExtTable(default=0, table=table))],
             )
             st = PropState(inst, mode="values")
-            vi = rng.randrange(d)
-            row_min = min(table.get((vi, vj), 0) for vj in range(d))
-            moved = _project_pair(st, 0, 0, vi)
-            assert moved == (row_min > 0)
-            assert unary_map(st, 0)[vi] == row_min
-            if 0 < row_min < k:
-                # Effective pair costs all dropped by exactly the minimum.
-                for vj in range(d):
-                    eff = st._eff_pair(0, (vi, vj))
-                    raw = table.get((vi, vj), 0)
-                    assert eff == (k if raw == k else raw - row_min)
+            xo = rng.randrange(2)
+            pair = (lambda v, w: (v, w)) if xo == 0 else (lambda v, w: (w, v))
+            row_min = [min(table.get(pair(v, w), 0) for w in range(d)) for v in range(d)]
+            _project_pairs(st, 0, xo)
+            assert st.stats.projections == sum(m > 0 for m in row_min)
+            assert unary_map(st, xo) == dict(enumerate(row_min))
+            # Effective pair costs dropped by exactly the minimum below k;
+            # a value whose pairs all cost k keeps its offset.
+            own, other = st.pair_proj[0][xo], st.pair_proj[0][1 - xo]
+            assert own == [m if m < k else 0 for m in row_min]
+            assert other == [0] * d
 
 
 class TestNodeConsistency:
@@ -657,7 +663,7 @@ class TestNodeConsistencyInvariant:
         monkeypatch.setattr(search, "resume_values", checking)
         for inst in suite(80, max_volume=3000):
             if binary_only(inst):
-                for branching in ("dichotomic", "enumerate"):
+                for branching in search.BRANCHINGS:
                     search.solve(inst, search.SearchOptions(consistency="ac", branching=branching))
         assert len(checked) > 100
 

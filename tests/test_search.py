@@ -18,20 +18,19 @@ from softbounds.costfn import CostFunction, ExtTable, Spacer
 from softbounds.network import Instance, total_cost
 from softbounds.oracle import brute_min_over_box, brute_optimum
 from softbounds.propagation import (
+    ENFORCERS,
     INF,
     SUP,
     PropState,
-    backward_check,
     narrow,
-    resume_bounds,
-    resume_values,
+    state_mode,
 )
-from softbounds.search import SearchOptions, solve
+from softbounds.search import BRANCHINGS, VAR_ORDERS, SearchOptions, resume_node, solve
 
 import record_pins
 from helpers import SUITE_KINDS, binary_only, make_kind, spacer_chains, suite
 
-ALL = ("nc", "ac", "bac", "bac0")
+ALL = tuple(ENFORCERS)
 
 # The pins record this engine's schedule. The "enforce" rows hold each
 # fixpoint's outcome, counters and trace hash; the "search" rows hold the
@@ -173,8 +172,8 @@ class TestOracleDifferential:
         for consistency in ALL:
             if consistency == "ac" and not binary_only(inst):
                 continue
-            for branching in ("dichotomic", "enumerate"):
-                for order in ("min_domain", "lex"):
+            for branching in BRANCHINGS:
+                for order in VAR_ORDERS:
                     opts = SearchOptions(
                         consistency=consistency, branching=branching, var_order=order
                     )
@@ -217,19 +216,6 @@ class TestPruningStrength:
             weak = solve(inst, SearchOptions(consistency="nc"))
             strong = solve(inst, SearchOptions(consistency="bac0"))
             assert strong.backtracks <= weak.backtracks, inst.name
-
-
-def _resume(st, consistency, touched):
-    """Resume as the search does: under bac and nc, backward checking
-    follows, and each move is resumed with nothing touched."""
-    while True:
-        if consistency in ("bac", "bac0"):
-            empty = resume_bounds(st, project=consistency == "bac0", touched=touched)
-        else:
-            empty = resume_values(st, arc=consistency == "ac", touched=touched)
-        if empty or consistency in ("bac0", "ac") or not backward_check(st):
-            return empty
-        touched = []
 
 
 def _trailed(st):
@@ -282,14 +268,14 @@ class TestStateRestoration:
         # Mirror a search: resume at the root, then nested narrow + resume
         # steps, each under its own mark; undo them innermost first.
         rng = random.Random(consistency)
-        mode = "values" if consistency in ("nc", "ac") else "interval"
+        mode = state_mode(consistency)
         checked = 0
         for inst in suite(25, max_volume=3000):
             if consistency == "ac" and not binary_only(inst):
                 continue
             st = PropState(inst, mode=mode, record_trail=True)
             stack = [(st.mark(), _trailed(st))]
-            empty = _resume(st, consistency, list(range(len(st.domains))))
+            empty = resume_node(st, consistency, list(range(len(st.domains))))
             for _ in range(6):
                 open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
                 if empty or not open_vars:
@@ -303,7 +289,7 @@ class TestStateRestoration:
                     lo, hi = rng.choice(((d.lb, mid), (mid + 1, d.ub)))
                 stack.append((st.mark(), _trailed(st)))
                 narrow(st, var, lo, hi)
-                empty = st.domains[var].is_empty or _resume(st, consistency, [var])
+                empty = st.domains[var].is_empty or resume_node(st, consistency, [var])
             checked += len(stack)
             while stack:
                 mark, want = stack.pop()
@@ -320,7 +306,7 @@ class TestStateRestoration:
         checked = swept = 0
         for inst in suite(25, max_volume=3000):
             st = PropState(inst, record_trail=True)
-            empty = _resume(st, consistency, list(range(len(st.domains))))
+            empty = resume_node(st, consistency, list(range(len(st.domains))))
             marks = []
             for step in range(14):
                 open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
@@ -341,7 +327,7 @@ class TestStateRestoration:
                 swept += st.k - st.w_zero < st.fixpoint_slack
                 marks.append(st.mark())
                 narrow(st, var, lo, hi)
-                empty = _resume(st, consistency, [var])
+                empty = resume_node(st, consistency, [var])
                 if not empty:
                     _assert_rows_exact(st, (inst.name, step))
                     checked += 1
@@ -356,7 +342,7 @@ class TestStateRestoration:
         for inst in suite(25, max_volume=3000):
             for side in (INF, SUP):
                 st = PropState(inst, record_trail=True)
-                if _resume(st, consistency, list(range(len(st.domains)))):
+                if resume_node(st, consistency, list(range(len(st.domains)))):
                     break
                 open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
                 if not open_vars:
@@ -374,7 +360,7 @@ class TestStateRestoration:
                 assert list(st.queue) == [var] and st.in_queue[var] == 1 << side
                 assert rows[1 - side][var] == kept, inst.name
                 assert not any(rows[side][var]), inst.name
-                if not _resume(st, consistency, [var]):
+                if not resume_node(st, consistency, [var]):
                     _assert_rows_exact(st, (inst.name, side))
                     checked += 1
         assert checked > 20, checked
@@ -403,7 +389,7 @@ class TestStateRestoration:
             if consistency == "ac" and not binary_only(inst):
                 continue
             name = inst.name
-            for branching in ("dichotomic", "enumerate"):
+            for branching in BRANCHINGS:
                 snapshots.clear()
                 solve(inst, SearchOptions(consistency=consistency, branching=branching))
         assert len(undos) > 100
