@@ -215,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--var-order",
         choices=VAR_ORDERS,
-        help="fewest live values first, ties to the most incident functions, "
-        "then the lowest id; or the lowest unassigned id",
+        help=f"{VAR_ORDERS[0]}: fewest live values, ties to the most incident "
+        f"functions, then the lowest id; {VAR_ORDERS[1]}: the lowest unassigned id "
+        f"({BRANCHINGS[0]} branching tries the cheaper-looking half first)",
     )
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")

@@ -432,7 +432,6 @@ KINDS = {
     cls.name: cls
     for cls in (ExtTable, FunctionalEq, AntiFunctionalNeq, MonoLeq, LinPlus, Spacer)
 }
-_KIND_TYPES = frozenset(KINDS.values())
 
 
 @dataclass(frozen=True)
@@ -592,15 +591,12 @@ def validate_semiconvex(
     return True, None
 
 
-def check_function(fn: CostFunction, bounds: Box, val: ValuationStructure, kind=True) -> None:
-    """Structural validation used at construction and load time; the kind's
-    own check, which may scan a whole table, runs only with `kind`."""
-    scope = fn.scope
-    if not scope:
+def check_function(fn: CostFunction, bounds: Box, val: ValuationStructure) -> None:
+    """Structural validation used at construction and load time."""
+    if fn.arity == 0:
         raise ContractError("cost functions must have a non-empty scope")
-    if len(set(scope)) != len(scope):
-        raise ContractError(f"scope {scope} repeats a variable")
-    if type(fn.kind) not in _KIND_TYPES:
+    if len(set(fn.scope)) != fn.arity:
+        raise ContractError(f"scope {fn.scope} repeats a variable")
+    if type(fn.kind) not in KINDS.values():
         raise ContractError(f"unknown cost kind {type(fn.kind).__name__}")
-    if kind:
-        fn.kind.check(scope, bounds, val)
+    fn.kind.check(fn.scope, bounds, val)

@@ -46,22 +46,11 @@ class Instance:
             if var.domain.removed:
                 raise ContractError("instances are declared over plain intervals")
         bounds = {v.id: (v.domain.lb, v.domain.ub) for v in self.variables}
-        # A kind object shared by several functions is checked once per tuple
-        # of scope intervals, and per scope under a semi-convex tag, whose
-        # axis names a variable. Without sharing the key is the kind's id,
-        # which spares building the interval keys.
-        kind_ids = [id(fn.kind) for fn in self.functions]
-        shared = len(set(kind_ids)) < len(kind_ids)
-        checked = set()
-        for key, fn in zip(kind_ids, self.functions):
+        for fn in self.functions:
             for v in fn.scope:
                 if not 0 <= v < len(self.variables):
                     raise ContractError(f"scope {fn.scope} references unknown variable {v}")
-            if shared:
-                semiconvex = getattr(fn.kind, "semiconvex", None)
-                key = (key, *map(bounds.__getitem__, fn.scope), semiconvex and fn.scope)
-            check_function(fn, bounds, self.valuation, key not in checked)
-            checked.add(key)
+            check_function(fn, bounds, self.valuation)
 
 
 def total_cost(inst: Instance, t: Mapping[int, int]) -> int:

@@ -489,7 +489,7 @@ def narrow(st: PropState, xi: int, lo: int, hi: int) -> None:
 
 
 def upper_half_first(st: PropState, xi: int, mid: int) -> bool:
-    """Whether a branch that halves xi at `mid` should try [mid + 1, ub] before
+    """Whether a dichotomic branch on xi should try [mid + 1, ub] before
     [lb, mid]: in interval mode when the row of the upper bound, exact at a
     fixpoint, sums below that of the lower bound; in value mode when the
     lowest live value of least unary cost lies above `mid`. Ties go to the

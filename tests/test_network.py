@@ -87,46 +87,3 @@ def test_instance_validation():
             [Variable(0, Domain(0, 1)), Variable(1, Domain(0, 1))],
             [CostFunction(scope=(0, 1), kind=object())],
         )
-
-
-def test_shared_kind_checked_once_per_interval(monkeypatch):
-    # A chain whose functions all carry one table kind, as a generator
-    # might build it: the table's scan runs once, not once per function.
-    calls = []
-    real = ExtTable._in_range
-
-    def counting(self, scope, bounds, val):
-        calls.append(scope)
-        return real(self, scope, bounds, val)
-
-    monkeypatch.setattr(ExtTable, "_in_range", counting)
-    width = 2000
-    kind = ExtTable(default=1, table={(0, w): 1 for w in range(width)})
-    Instance(
-        "scan",
-        ValuationStructure(10),
-        [Variable(i, Domain(0, width - 1)) for i in range(2500)],
-        [CostFunction(scope=(i, i + 1), kind=kind) for i in range(2499)],
-    )
-    assert calls == [(0, 1)]
-
-
-def test_shared_kind_still_checked_on_other_intervals():
-    val = ValuationStructure(4)
-    kind = ExtTable(default=0, table={(0, 3): 1})
-    wide, narrow = Domain(0, 3), Domain(0, 2)
-    variables = [Variable(0, wide), Variable(1, wide), Variable(2, narrow)]
-    Instance("ok", val, variables, [CostFunction((0, 1), kind), CostFunction((2, 1), kind)])
-    with pytest.raises(ContractError, match="outside"):
-        Instance("bad", val, variables, [CostFunction((0, 1), kind), CostFunction((1, 2), kind)])
-
-
-def test_shared_semiconvex_kind_checked_per_scope():
-    # The tag's axis names variable 0, which the second scope lacks, though
-    # both scopes have the same intervals.
-    val = ValuationStructure(4)
-    kind = ExtTable(default=0, table={(0, 1): 2}, semiconvex=(0, "asc"))
-    variables = [Variable(i, Domain(0, 1)) for i in range(3)]
-    Instance("ok", val, variables[:2], [CostFunction((0, 1), kind)])
-    with pytest.raises(ContractError, match="not in scope"):
-        Instance("bad", val, variables, [CostFunction((0, 1), kind), CostFunction((2, 1), kind)])

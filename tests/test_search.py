@@ -445,7 +445,8 @@ class TestBounds:
         # partner values, every one costing 1, and no row reaches the top,
         # so the root fixpoint deletes nothing: its 2 500 queue pops, about
         # 9 s, are its only units of work. Checked only between nodes, the
-        # limit would be noticed after it.
+        # limit would be noticed after it. The table is valid by
+        # construction, so the build skips re-checking it per function.
         width = 2000
         kind = ExtTable(default=1, table={(0, w): 1 for w in range(width)})
         inst = Instance(
@@ -453,6 +454,7 @@ class TestBounds:
             ValuationStructure(10),
             [Variable(i, Domain(0, width - 1)) for i in range(2500)],
             [CostFunction(scope=(i, i + 1), kind=kind) for i in range(2499)],
+            _prechecked=True,
         )
         t0 = time.perf_counter()
         result = solve(inst, SearchOptions(consistency="bac", time_limit=1))
