@@ -14,6 +14,13 @@ compute its minimum over a sub-box far below full enumeration:
 * the trapezoid gap function is minimised analytically on the interval of
   reachable gaps.
 
+A plain binary table has no structure to exploit. When it is dense (its
+declared box at most 4 times its entries), the interval engines read it
+through per-state cost rows built by `ExtTable.line`: one list of raw costs
+per pinned value, so a pinned minimum is the minimum of one slice. Filled
+rows hold at most 8 cells per table entry, so interval state stays
+independent of domain width (see `propagation.PropState._declare_rows`).
+
 Each kind class owns its directive `name`, its parameter checks (`check`),
 its text form (`text`), its `cost` (one tuple) and `box_min` (minimum raw
 cost over a box). `box_min` takes a tuple box, one (lo, hi) per scope
@@ -196,6 +203,14 @@ class ExtTable:
                     break
         ov.eval_count += n
         return best
+
+    def line(self, pos: int, value: int, lo: int, hi: int) -> list:
+        """The raw costs of the binary tuples whose scope position `pos`
+        holds `value`, the other position running over [lo, hi]."""
+        get, default = self.table.get, self.default
+        if pos:
+            return [get((w, value), default) for w in range(lo, hi + 1)]
+        return [get((value, w), default) for w in range(lo, hi + 1)]
 
     def _binary_min(self, box, shift, ov) -> int:
         # The dense scan of `box_min` on two ranges, looped over directly:
@@ -480,6 +495,13 @@ def min_over_tuple_box(fn: CostFunction, box: TupleBox, k: int, ov: FunctionOver
     raw_min = fn.kind.box_min(fn.scope, box, k, shift, ov)
     if not shift:
         return raw_min
+    return unshift(raw_min, shift, k)
+
+
+def unshift(raw_min: int, shift: int, k: int) -> int:
+    """The effective minimum, `ominus(raw_min, shift)`, of a function whose
+    raw minimum over a box is `raw_min`; raises when the shift exceeds it or
+    reaches k."""
     if shift > raw_min or shift >= k:
         raise ContractError(f"shift {shift} above the box minimum {raw_min} (k={k})")
     return k if raw_min == k else raw_min - shift

@@ -1,6 +1,9 @@
 """Deterministic instance generators for experiments and tests.
 
 All three shapes are seeded and reproducible byte-for-byte through emit().
+Each builds only what `Instance`'s checks accept (dense ids, non-empty
+intervals, in-range tuples and costs), so it skips those checks;
+tests/test_generators.py runs them on every shape.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ def gen_random(
         variables=variables,
         functions=functions,
         w_zero=0,
+        _prechecked=True,
     )
 
 
@@ -114,6 +118,7 @@ def gen_satellite(N: int, horizon: int = 12, seed: int = 0) -> Instance:
         variables=variables,
         functions=functions,
         w_zero=0,
+        _prechecked=True,
     )
 
 
@@ -149,6 +154,7 @@ def gen_spacerchain(m: int, L: int, k: int = 24, seed: int = 0) -> Instance:
         variables=variables,
         functions=functions,
         w_zero=0,
+        _prechecked=True,
     )
 
 

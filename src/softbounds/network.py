@@ -28,8 +28,9 @@ class Instance:
     variables: List[Variable]
     functions: List[CostFunction]
     w_zero: int = 0
-    # Set only by the parser, which has made every check below on the line
-    # it read; it is not stored.
+    # Set by the parser, which has made every check below on the line it
+    # read, and by the generators, whose output tests/test_generators.py
+    # checks in full; it is not stored.
     _prechecked: InitVar[bool] = False
 
     def __post_init__(self, _prechecked: bool) -> None:

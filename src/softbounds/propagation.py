@@ -4,7 +4,9 @@ Two families share one state object:
 
 * interval mode: bound filtering (optionally combined with projection of
   whole-function minima onto the constant term). State is proportional to
-  the number of variables plus the sum of arities, never to domain width.
+  the number of variables plus the sum of arities, plus the cost rows of
+  dense binary tables (bounded by their entries, below), never to domain
+  width.
 * value mode: the small-domain reference engines (node consistency and
   per-value arc consistency), which materialize one unary cost per live
   value and per-value projection offsets for binary functions. Creation is
@@ -49,8 +51,18 @@ resume, kept in the trailed `fixpoint_slack`; otherwise no row outside the
 queue can fire. `backward_check`, run by the search after a bac or nc resume,
 projects only the functions whose scope has just become fully assigned,
 found through the trailed per-variable `assigned` flags. A `deadline` on
-the state is checked every DEADLINE_POPS units of work, queue pops and
-walk steps, so a time limit holds inside one long fixpoint or walk.
+the state is checked every DEADLINE_POPS units of work (queue pops, walk
+steps, and values projected or materialized in value mode), so a time limit
+holds inside one long fixpoint, walk, projection or value-mode set-up.
+
+A binary table without a semi-convex tag whose declared box holds at most
+ROW_FILL_RATIO times its entries gets cost rows: per scope position and
+pinned value, the raw costs over the partner's declared interval, filled on
+first use. A pinned minimum is then the least entry of a slice of one row,
+with the lookups the table scan would have counted. Filled rows hold at
+most twice the declared box, so at most 2 * ROW_FILL_RATIO cells per table
+entry, whatever the domain widths; `allocation_cells` counts them and
+`PropStats.row_fills` counts the table reads that filled them.
 
 The value engines keep NC*: every live value has w_zero plus its unary cost
 below k, and every non-empty domain has a value of zero unary cost. One
@@ -79,7 +91,7 @@ from operator import setitem
 from typing import Dict, List, Optional, Tuple
 
 from .core import CapError, ContractError, Domain
-from .costfn import FunctionOverlay, min_over_tuple_box, raw_cost
+from .costfn import ExtTable, FunctionOverlay, min_over_tuple_box, raw_cost, unshift
 
 # The engines call `min_over_tuple_box`. The dict-box API stays importable
 # from this module because perfbench/tracer.py wraps it under these names.
@@ -101,8 +113,13 @@ NEIGHBOURS = 4
 # The sides named by each event mask.
 _SIDES = ((), (INF,), (SUP,), (INF, SUP))
 
+# Rows are kept for a binary table whose declared box holds at most this
+# many times its entries (see `PropState._declare_rows`).
+ROW_FILL_RATIO = 4
+
 # A state's deadline is compared with the clock once every this many units
-# of fixpoint work: queue pops and the steps of a walking prune.
+# of work: queue pops, the steps of a walking prune, and in value mode the
+# values projected by `_project_pairs` or materialized at set-up.
 DEADLINE_POPS = 64
 
 
@@ -124,6 +141,7 @@ class PropStats:
     deletions: int = 0
     projections: int = 0
     queue_pops: int = 0
+    row_fills: int = 0  # table reads made to fill cost rows; not lookups
 
 
 @dataclass
@@ -152,7 +170,8 @@ class PropState:
     one walk of a bound are one event, whose `amount` is the number of
     values.
     `deadline`, a `time.perf_counter()` value or None, makes the fixpoint
-    loops and the walks of `prune` raise `LimitReached` once it has passed.
+    loops, the walks of `prune`, value-mode projections and the value-mode
+    set-up in this constructor raise `LimitReached` once it has passed.
     """
 
     def __init__(
@@ -162,6 +181,7 @@ class PropState:
         record_trail: bool = False,
         pop_rng: Optional[random.Random] = None,
         trace: Optional[list] = None,
+        deadline: Optional[float] = None,
     ):
         if mode not in ("interval", "values"):
             raise ContractError(f"unknown mode {mode!r}")
@@ -187,13 +207,17 @@ class PropState:
         # Per function, the (box, shift) of its last zero minimum; see
         # `project_to_zero`.
         self.zero_at: List[Optional[tuple]] = [None] * len(inst.functions)
+        # Per function, the cost rows of a dense binary table, or None.
+        self.table_rows: List[Optional[tuple]] = [None] * len(inst.functions)
+        if mode == "interval":
+            self._declare_rows()
         self.queue: deque = deque()
         self.in_queue = [0] * n  # event mask of each variable; 0 when not queued
         self.pop_rng = pop_rng
         self.trail: Optional[list] = [] if record_trail else None
         self.trace = trace
-        self.deadline: Optional[float] = None
-        self.ticks = 0  # queue pops and walk steps, for the deadline
+        self.deadline = deadline
+        self.ticks = 0  # units of work, for the deadline
         # Backward checking: variables already seen assigned on this branch.
         self.assigned = [False] * n
         # k - w_zero when the last resume completed: no untouched row reaches
@@ -205,6 +229,20 @@ class PropState:
         self.pair_proj: Optional[Dict[int, Tuple[List[int], List[int]]]] = None
         if mode == "values":
             self._materialize_values()
+
+    def _declare_rows(self) -> None:
+        """Give cost rows (see the module docstring) to the dense binary
+        tables. Rows hold raw costs only, so they need no trail and stay
+        valid across `undo_to`."""
+        spans = [(v.domain.lb, v.domain.ub) for v in self.instance.variables]
+        for fi, fn in enumerate(self.instance.functions):
+            kind = fn.kind
+            if fn.arity != 2 or not isinstance(kind, ExtTable) or kind.semiconvex is not None:
+                continue
+            box = (alo, ahi), (blo, bhi) = spans[fn.scope[0]], spans[fn.scope[1]]
+            if (ahi - alo + 1) * (bhi - blo + 1) <= ROW_FILL_RATIO * len(kind.table):
+                # (entries, declared box, per scope position: value -> row)
+                self.table_rows[fi] = (len(kind.table), box, ({}, {}))
 
     # -- value-mode materialization -------------------------------------
 
@@ -230,6 +268,7 @@ class PropState:
             arr = self.unary[xi]
             base = self.base_lb[xi]
             for v in range(inst.variables[xi].domain.lb, inst.variables[xi].domain.ub + 1):
+                self._tick()
                 ov.eval_count += 1
                 c = raw_cost(fn, (v,), self.val)
                 arr[v - base] = min(valk, arr[v - base] + c)
@@ -311,8 +350,9 @@ class PropState:
             self.in_queue[self.queue.popleft()] = 0
 
     def _tick(self) -> None:
-        """Count one unit of fixpoint work, a queue pop or a walk step, and
-        compare the deadline with the clock every DEADLINE_POPS units."""
+        """Count one unit of work (a queue pop, a walk step, or one value
+        projected or materialized in value mode) and compare the deadline
+        with the clock every DEADLINE_POPS units."""
         self.ticks += 1
         if (
             self.deadline is not None
@@ -349,6 +389,9 @@ class PropState:
         for d in self.domains:
             if d.removed:
                 cells += len(d.removed)
+        for rows in self.table_rows:
+            if rows is not None:
+                cells += sum(len(line) for lines in rows[2] for line in lines.values())
         return cells
 
 
@@ -358,9 +401,32 @@ class PropState:
 
 
 def _pinned(st: PropState, fi: int, xi: int, value: int) -> int:
+    """The minimum effective cost of function fi over the box with xi at
+    `value`. A table with cost rows reads one slice of the row of `value`
+    when it lists at least as many entries as the partner's box is wide,
+    the case in which `box_min` would scan that line densely, and counts
+    that scan's lookups: up to the first minimum when the shift absorbs
+    it, else the whole slice."""
     fn = st.instance.functions[fi]
     doms = st.domains
     scope = fn.scope
+    rows = st.table_rows[fi]
+    if rows is not None:
+        entries, box, lines = rows
+        pos = 0 if scope[0] == xi else 1
+        d = doms[scope[1 - pos]]
+        if entries > d.ub - d.lb:
+            lo = box[1 - pos][0]
+            line = lines[pos].get(value)
+            if line is None:
+                line = lines[pos][value] = fn.kind.line(pos, value, lo, box[1 - pos][1])
+                st.stats.row_fills += len(line)
+            part = line[d.lb - lo:d.ub - lo + 1]
+            m = min(part)
+            ov = st.overlays[fi]
+            shift = ov.delta_shift
+            ov.eval_count += part.index(m) + 1 if m <= shift else len(part)
+            return unshift(m, shift, st.val.k) if shift else m
     if len(scope) == 2:  # the common case, built without a generator
         a, b = scope
         if a == xi:
@@ -455,9 +521,13 @@ def prune(st: PropState, xi: int, side: int) -> bool:
 
 
 def _prune_all(st: PropState) -> bool:
-    """Prune both bounds of every variable; returns True on wipeout."""
+    """Prune both bounds of every variable whose row reaches the top;
+    returns True on wipeout."""
+    top = st.k - st.w_zero  # pruning moves neither k nor w_zero
     for xi in range(len(st.domains)):
         for side in (INF, SUP):
+            if sum(st._caches[side][xi]) < top:
+                continue
             if prune(st, xi, side) and st.domains[xi].is_empty:
                 st._clear_queue()
                 return True
@@ -562,9 +632,9 @@ def _bound_loop(st: PropState, project: bool) -> bool:
                 d = st.domains[xi]
                 sides = BOTH if raised or xi != xj else moved & BOTH
                 for side in _SIDES[sides]:
-                    alpha = _pinned(st, fi, xi, d.ub if side else d.lb)
-                    st._set_cell(caches[side][xi], slot, alpha)
-                    if prune(st, xi, side) and d.is_empty:
+                    row = caches[side][xi]
+                    st._set_cell(row, slot, _pinned(st, fi, xi, d.ub if side else d.lb))
+                    if sum(row) >= st.k - st.w_zero and prune(st, xi, side) and d.is_empty:
                         st._clear_queue()
                         return True
         # The constant term grew: every bound must be re-checked.
@@ -710,7 +780,10 @@ def project_unary(st: PropState, xi: int) -> bool:
         raise ContractError(f"variable {xi} has no live values")
     arr = st.unary[xi]
     base = st.base_lb[xi]
-    m = min(arr[v - base] for v in d.iter_values())
+    if d.removed:
+        m = min(arr[v - base] for v in d.iter_values())
+    else:
+        m = min(arr[d.lb - base:d.ub - base + 1])
     if m == 0:
         return False
     valk = st.val.k
@@ -745,6 +818,8 @@ def _nc_prune(st: PropState, xi: int) -> bool:
     d = st.domains[xi]
     base = st.base_lb[xi]
     arr = st.unary[xi]
+    if not d.removed and (d.is_empty or max(arr[d.lb - base:d.ub - base + 1]) < st.k - st.w_zero):
+        return False  # no live value reaches the top
     changed = False
     for v in list(d.iter_values()):
         if st.w_zero + arr[v - base] >= st.k:
@@ -802,7 +877,10 @@ def _project_pairs(st: PropState, fi: int, xo: int) -> None:
     base, pbase = st.base_lb[xo], st.base_lb[xp]
     partner = [(vp, other[vp - pbase]) for vp in st.domains[xp].iter_values()]
     arr = st.unary[xo]
+    timed = st.deadline is not None  # ticks serve the deadline alone
     for vo in list(st.domains[xo].iter_values()):
+        if timed:
+            st._tick()
         i = vo - base
         own = proj[i]
         m = None

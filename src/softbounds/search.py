@@ -101,9 +101,6 @@ class _Searcher:
         self.best_cost: Optional[int] = None
         self.best_assignment: Optional[Dict[int, int]] = None
         self.incumbents: List[int] = []
-        if opts.time_limit is not None:
-            # The fixpoint loops check it too, so one long fixpoint stops.
-            st.deadline = time.perf_counter() + opts.time_limit
 
     def run(self) -> str:
         status = "optimal"
@@ -217,10 +214,18 @@ def solve(inst: Instance, opts: SearchOptions) -> SearchResult:
             )
     if opts.consistency == "ac":
         require_binary_scopes(inst, "arc consistency search requires")
-    st = PropState(inst, mode=state_mode(opts.consistency), record_trail=True)
+    if opts.initial_ub is not None and opts.initial_ub < 1:
+        raise ContractError("initial upper bound must be at least 1")
+    # The state checks the deadline too, from its value-mode set-up on, so
+    # one long fixpoint or materialization stops.
+    deadline = None if opts.time_limit is None else time.perf_counter() + opts.time_limit
+    mode = state_mode(opts.consistency)
+    try:
+        st = PropState(inst, mode=mode, record_trail=True, deadline=deadline)
+    except LimitReached:
+        return SearchResult(status="limit", best_cost=None, best_assignment=None,
+                            nodes=0, backtracks=0)
     if opts.initial_ub is not None:
-        if opts.initial_ub < 1:
-            raise ContractError("initial upper bound must be at least 1")
         st.k = min(st.k, opts.initial_ub)
 
     searcher = _Searcher(inst, opts, st)

@@ -12,7 +12,9 @@ tests compare:
 
 Run as a script, it measures every row with the current engines, prints
 every row that changed with the fields that moved and each section's lookup
-total, recorded -> measured, and rewrites the file.
+total, recorded -> measured, beside the section's row fills (table reads
+that filled cost rows, which are not lookups and are not pinned), and
+rewrites the file.
 A lookup ceiling becomes min(old, new). A wipeout enforce row, whose
 deletions before the wipeout follow the revision order, carries the new
 count when it is above its ceiling. The script writes nothing and exits
@@ -63,6 +65,11 @@ def load() -> dict:
 def measure(section: str, inst, key: list) -> list:
     """The measured fields of the row of `section` whose key is `key`
     (without the instance name); lookups come last."""
+    return measure_with_fills(section, inst, key)[0]
+
+
+def measure_with_fills(section: str, inst, key: list) -> tuple:
+    """`measure`'s fields and the row fills of the state they came from."""
     if section.startswith("enforce"):
         consistency, schedule = key
         rng = None if schedule is None else random.Random(schedule)
@@ -70,8 +77,9 @@ def measure(section: str, inst, key: list) -> list:
         st = PropState(inst, mode=state_mode(consistency), pop_rng=rng, trace=trace)
         rep = ENFORCERS[consistency](st)
         lines = "".join(json.dumps(event) + "\n" for event in trace)
-        return [rep.empty, rep.w_zero, rep.deletions, rep.projections, rep.queue_pops,
-                hashlib.sha256(lines.encode()).hexdigest()[:16], sum(rep.eval_counts)]
+        fields = [rep.empty, rep.w_zero, rep.deletions, rep.projections, rep.queue_pops,
+                  hashlib.sha256(lines.encode()).hexdigest()[:16], sum(rep.eval_counts)]
+        return fields, st.stats.row_fills
     consistency, branching, *order = key
     opts = SearchOptions(consistency=consistency, branching=branching)
     if order:
@@ -92,8 +100,9 @@ def measure(section: str, inst, key: list) -> list:
     witness = None if r.best_assignment is None else [
         r.best_assignment[i] for i in range(len(r.best_assignment))
     ]
-    return [r.status, r.best_cost, witness, r.nodes, r.backtracks, st.stats.deletions,
-            st.stats.projections, st.stats.queue_pops, sum(ov.eval_count for ov in st.overlays)]
+    fields = [r.status, r.best_cost, witness, r.nodes, r.backtracks, st.stats.deletions,
+              st.stats.projections, st.stats.queue_pops, sum(ov.eval_count for ov in st.overlays)]
+    return fields, st.stats.row_fills
 
 
 def fixed_fields(section: str, old: list) -> tuple:
@@ -111,11 +120,13 @@ def main() -> int:
         n = KEY_LEN[section]
         names = ENFORCE_FIELDS if section.startswith("enforce") else SEARCH_FIELDS
         totals = [0, 0]
+        fills = 0
         for idx, row in enumerate(rows):
             name, key, old = row[0], row[1:n], row[n:]
-            new = measure(section, insts[name], key)
+            new, row_fills = measure_with_fills(section, insts[name], key)
             totals[0] += old[-1]
             totals[1] += new[-1]
+            fills += row_fills
             moved = [(f, a, b) for f, a, b in zip(names, old, new) if a != b]
             bad = [f for f, _, _ in moved if f in fixed_fields(section, old)]
             if section in CEILINGS and not (section == "enforce" and new[0]):
@@ -128,7 +139,7 @@ def main() -> int:
                       + (f" (refused: {', '.join(bad)})" if bad else ""))
             refused = refused or bool(bad)
             rows[idx] = row[:n] + new
-        print(f"{section}: lookups {totals[0]} -> {totals[1]}")
+        print(f"{section}: lookups {totals[0]} -> {totals[1]}, row fills {fills}")
     if refused:
         print("a row moved a schedule-free field or rose above its ceiling; nothing written")
         return 1

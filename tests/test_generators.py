@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from softbounds.core import ContractError
 from softbounds.costfn import ExtTable, Spacer
 from softbounds.fileformat import emit
 from softbounds.generators import gen_random, gen_satellite, gen_spacerchain
+from softbounds.network import Instance
 from softbounds.oracle import brute_optimum
 from softbounds.propagation import PropState, enforce_bac_zero
 
@@ -86,3 +89,66 @@ class TestSpacerChain:
 
     def test_deterministic(self):
         assert emit(gen_spacerchain(4, 100, seed=2)) == emit(gen_spacerchain(4, 100, seed=2))
+
+
+class TestPrechecked:
+    """The generators build their instances without re-running `Instance`'s
+    checks; these tests make those checks on what they build."""
+
+    GRIDS = [
+        (gen_random, dict(n=n, d=d, e=e, tightness=t, max_cost=c, k=k))
+        for n, d, e in ((2, 1, 0), (2, 1, 3), (6, 6, 10), (9, 4, 20))
+        for t, c, k in ((0.0, 1, 1), (0.4, 4, 10), (0.8, 3, 10), (1.0, 99, 7))
+    ] + [
+        (gen_satellite, dict(N=N, horizon=h)) for N in (2, 3, 6, 9) for h in (4, 12, 30)
+    ] + [
+        (gen_spacerchain, dict(m=m, L=L, k=k))
+        for m in (2, 7, 30) for L in (10, 999, 10**6) for k in (2, 24)
+    ]
+
+    @pytest.mark.parametrize("gen,params", GRIDS)
+    def test_output_passes_full_validation(self, gen, params):
+        for seed in range(4):
+            inst = gen(**params, seed=seed)
+            Instance(inst.name, inst.valuation, inst.variables, inst.functions, inst.w_zero)
+
+    # sha256 of the emitted text of the benchmark's generated instances at
+    # workload seed 1 (perfbench/workloads.py), recorded before the
+    # generators stopped validating: a generator change that alters any of
+    # them fails here.
+    BENCHMARK_SETS = {
+        "small-search random": (
+            lambda: [gen_random(n=6, d=6, e=10, tightness=0.8, max_cost=3, seed=s)
+                     for s in range(1, 401)],
+            "fa348a449216ed5235d76f7bb6e6145e9fcba25412d00c4bbfbd27d123d4f14a",
+        ),
+        "small-search satellite": (
+            lambda: [gen_satellite(N=6, seed=s) for s in range(1, 9)],
+            "f38769cb030ff8f91d938c0048f657fdf20e4b49c8e1b53b76ca4772b38d6648",
+        ),
+        "wide-prop chains": (
+            lambda: [gen_spacerchain(m=m, L=10**6, seed=1 + j)
+                     for j, m in enumerate((30, 60, 36, 54, 42, 48))],
+            "e44698b18f144bca8f44344d3fbfc972dc407fb1dbe8833602f2f05e109bdba6",
+        ),
+        "cli random": (
+            lambda: [gen_random(n=40, d=60, e=120, seed=1)],
+            "f2117318a541595431e8cf05130d6d77cc5bb1136dcd98dbbcabbb1b6af2271c",
+        ),
+        "cli satellite": (
+            lambda: [gen_satellite(N=6, seed=3)],
+            "232e8bd074b8cb21095ede559de1b4652408aeddf7cdca30b275448a6b7d1dbe",
+        ),
+        "cli chain": (
+            lambda: [gen_spacerchain(m=30, L=10**6, seed=4)],
+            "45e0c63a5e2d39ee0e87337b5112d72a409e863395beffa1db3864d77d489f4a",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_SETS))
+    def test_benchmark_instances_are_pinned(self, name):
+        build, want = self.BENCHMARK_SETS[name]
+        h = hashlib.sha256()
+        for inst in build():
+            h.update(emit(inst).encode())
+        assert h.hexdigest() == want

@@ -1,13 +1,19 @@
 import random
 import time
+from math import prod
 
 import pytest
 
 from softbounds import propagation
 from softbounds.core import CapError, ContractError, Domain, ValuationStructure, Variable
-from softbounds.costfn import CostFunction, ExtTable, LinPlus, Spacer
+from softbounds.costfn import CostFunction, ExtTable, FunctionOverlay, LinPlus, Spacer
 from softbounds.network import Instance
-from softbounds.oracle import brute_optimum, naive_bac_fixpoint, naive_bac_zero_fixpoint
+from softbounds.oracle import (
+    brute_min_over_box,
+    brute_optimum,
+    naive_bac_fixpoint,
+    naive_bac_zero_fixpoint,
+)
 from softbounds.propagation import (
     AC_VALUE_CAP,
     INF,
@@ -719,6 +725,135 @@ class TestSpaceDiscipline:
         )
         st = PropState(inst, mode="values")
         assert st.allocation_cells() > 100
+
+
+def _table_pair(rng):
+    """Two variables over random intervals and one random binary table,
+    from nearly empty to full, with a default of 0, k or in between."""
+    k = rng.choice((4, 9, 30))
+    spans = []
+    for _ in range(2):
+        lo = rng.randint(-3, 3)
+        spans.append((lo, lo + rng.randint(0, 6)))
+    fill = rng.choice((0.05, 0.25, 0.5, 0.8, 1.0))
+    table = {
+        (a, b): rng.choice((0, rng.randint(0, k), k))
+        for a in range(spans[0][0], spans[0][1] + 1)
+        for b in range(spans[1][0], spans[1][1] + 1)
+        if rng.random() < fill
+    }
+    default = rng.choice((0, rng.randint(1, k), k))
+    fn = CostFunction(scope=(0, 1), kind=ExtTable(default=default, table=table))
+    variables = [Variable(i, Domain(lo, hi)) for i, (lo, hi) in enumerate(spans)]
+    return Instance("pair", ValuationStructure(k), variables, [fn])
+
+
+class TestTableRows:
+    def test_pinned_matches_oracle_and_box_min_lookups(self):
+        # Every pinned minimum, on narrowed boxes, on both scope positions
+        # and under shifts up to the minimum, equals the brute-force minimum
+        # less the shift, and counts the lookups of `ExtTable.box_min`.
+        rng = random.Random(21)
+        taken = {"row": 0, "scan": 0, "default above shift": 0, "default at or below": 0}
+        for _ in range(400):
+            inst = _table_pair(rng)
+            fn, val = inst.functions[0], inst.valuation
+            st = PropState(inst)
+            vol = prod(v.domain.size() for v in inst.variables)
+            dense = vol <= propagation.ROW_FILL_RATIO * len(fn.kind.table)
+            assert (st.table_rows[0] is not None) == dense
+            for d in st.domains:
+                d.lb = rng.randint(d.lb, d.ub)
+                d.ub = rng.randint(d.lb, d.ub)
+            ov = st.overlays[0]
+            for xi in (0, 1):
+                partner = st.domains[1 - xi]
+                for value in range(st.domains[xi].lb, st.domains[xi].ub + 1):
+                    box = {xi: (value, value), 1 - xi: (partner.lb, partner.ub)}
+                    raw_min = brute_min_over_box(fn, box, val)
+                    ov.delta_shift = rng.randint(0, min(raw_min, val.k - 1))
+                    fills, before = st.stats.row_fills, ov.eval_count
+                    got = propagation._pinned(st, 0, xi, value)
+                    assert got == brute_min_over_box(fn, box, val, ov.delta_shift)
+                    scan = FunctionOverlay()
+                    fn.kind.box_min(fn.scope, (box[0], box[1]), val.k, ov.delta_shift, scan)
+                    assert ov.eval_count - before == scan.eval_count
+                    row = dense and len(fn.kind.table) >= partner.ub - partner.lb + 1
+                    taken["row" if row else "scan"] += 1
+                    if row:
+                        above = fn.kind.default > ov.delta_shift
+                        taken["default above shift" if above else "default at or below"] += 1
+                    else:
+                        assert st.stats.row_fills == fills
+        assert min(taken.values()) > 100, taken
+
+    def test_sparse_wide_table_gets_no_rows(self):
+        # Three entries over two 10**6-wide domains: no rows, and state
+        # cells stay those of a 10**3-wide copy.
+        def wide(width):
+            table = {(0, 1): 3, (5, 9): 1, (width - 1, 0): 2}
+            return Instance(
+                "wide", ValuationStructure(5),
+                [Variable(0, Domain(0, width - 1)), Variable(1, Domain(0, width - 1))],
+                [CostFunction(scope=(0, 1), kind=ExtTable(default=1, table=table))],
+            )
+
+        cells = []
+        for width in (10**3, 10**6):
+            st = PropState(wide(width))
+            assert st.table_rows == [None]
+            enforce_bac_zero(st)
+            assert st.stats.row_fills == 0
+            cells.append(st.allocation_cells())
+        assert cells[0] == cells[1]
+
+    def test_row_cells_stay_within_the_table_bound(self):
+        # Filled rows hold at most the declared box on each side: within
+        # 2 * ROW_FILL_RATIO cells per table entry, counted in allocation_cells.
+        for inst in suite(60, max_volume=3000):
+            for enforce in (enforce_bac, enforce_bac_zero):
+                st = PropState(inst)
+                base = st.allocation_cells()
+                enforce(st)
+                filled = st.allocation_cells() - base
+                assert filled == st.stats.row_fills
+                bound = sum(
+                    2 * propagation.ROW_FILL_RATIO * len(fn.kind.table)
+                    for fn, rows in zip(inst.functions, st.table_rows) if rows is not None
+                )
+                assert filled <= bound
+
+    def test_rows_stay_valid_across_undo(self):
+        # Rows hold raw costs and are never trailed: narrowing each variable
+        # and resuming fills them, undoing each narrowing leaves them equal
+        # to fresh table lines, and a later enforcement reaches the fresh
+        # state's fixpoint.
+        checked = 0
+        for inst in suite(60, max_volume=3000):
+            st = PropState(inst, record_trail=True)
+            mark = st.mark()
+            for xi, d in enumerate(st.domains):
+                narrow(st, xi, d.lb + 1, d.ub)
+                resume_bounds(st, True, [xi])
+                assert not any(
+                    entry[1] is line for entry in st.trail
+                    for rows in st.table_rows if rows is not None
+                    for lines in rows[2] for line in lines.values()
+                )
+                st.undo_to(mark)
+            assert st.fingerprint() == PropState(inst).fingerprint()
+            for fn, rows in zip(inst.functions, st.table_rows):
+                if rows is None:
+                    continue
+                for pos, lines in enumerate(rows[2]):
+                    lo, hi = rows[1][1 - pos]
+                    for value, line in lines.items():
+                        assert line == fn.kind.line(pos, value, lo, hi)
+                        checked += 1
+            fresh = PropState(inst)
+            assert enforce_bac_zero(st).domains == enforce_bac_zero(fresh).domains
+            assert st.fingerprint() == fresh.fingerprint()
+        assert checked > 100
 
 
 class TestTrace:

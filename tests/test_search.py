@@ -18,6 +18,7 @@ from softbounds.costfn import CostFunction, ExtTable, Spacer
 from softbounds.network import Instance, total_cost
 from softbounds.oracle import brute_min_over_box, brute_optimum
 from softbounds.propagation import (
+    AC_VALUE_CAP,
     ENFORCERS,
     INF,
     SUP,
@@ -475,6 +476,40 @@ class TestBounds:
         result = solve(inst, SearchOptions(consistency="bac", time_limit=1))
         assert result.status == "limit"
         assert time.perf_counter() - t0 < 5
+
+    def test_time_limit_holds_inside_one_pair_projection(self):
+        # The root arc pass projects the spacer onto each of 4 000 values,
+        # each over 4 000 partner values, without a queue pop: about 12 s
+        # when the deadline is checked per pop only.
+        d = 4000
+        inst = Instance(
+            "wide-pair",
+            ValuationStructure(10**9),
+            [Variable(0, Domain(0, d - 1)), Variable(1, Domain(0, d - 1))],
+            [CostFunction(scope=(0, 1), kind=Spacer(-d, d // 2, d // 2, d, 1))],
+        )
+        t0 = time.perf_counter()
+        result = solve(inst, SearchOptions(consistency="ac", time_limit=1))
+        assert result.status == "limit"
+        assert time.perf_counter() - t0 < 5
+
+    def test_time_limit_holds_inside_value_mode_set_up(self):
+        # Filling the unary costs of 40 variables over 65 536 values takes
+        # about 2.7 s; the deadline is fixed before it and checked inside.
+        width = AC_VALUE_CAP
+        inst = Instance(
+            "wide-unary",
+            ValuationStructure(10),
+            [Variable(i, Domain(0, width - 1)) for i in range(40)],
+            [
+                CostFunction(scope=(i,), kind=ExtTable(0, {(i,): 1, (width - 1,): 2}))
+                for i in range(40)
+            ],
+        )
+        t0 = time.perf_counter()
+        result = solve(inst, SearchOptions(consistency="nc", time_limit=0.5))
+        assert (result.status, result.nodes) == ("limit", 0)
+        assert time.perf_counter() - t0 < 2
 
 
 class TestOptionValidation:
