@@ -15,11 +15,11 @@ compute its minimum over a sub-box far below full enumeration:
   reachable gaps.
 
 A plain binary table has no structure to exploit. When it is dense (its
-declared box at most 4 times its entries), the interval engines read it
-through per-state cost rows built by `ExtTable.line`: one list of raw costs
-per pinned value, so a pinned minimum is the minimum of one slice. Filled
-rows hold at most 8 cells per table entry, so interval state stays
-independent of domain width (see `propagation.PropState._declare_rows`).
+declared box at most 4 times its entries), a searched interval state reads
+it through cost rows built by `ExtTable.line`: one list of raw costs per
+pinned value, so a pinned minimum is the minimum of one slice. Filled rows
+hold at most 8 cells per table entry, so interval state stays independent
+of domain width (see `propagation.PropState._declare_rows`).
 
 Each kind class owns its directive `name`, its parameter checks (`check`),
 its text form (`text`), its `cost` (one tuple) and `box_min` (minimum raw

@@ -4,9 +4,9 @@ Two families share one state object:
 
 * interval mode: bound filtering (optionally combined with projection of
   whole-function minima onto the constant term). State is proportional to
-  the number of variables plus the sum of arities, plus the cost rows of
-  dense binary tables (bounded by their entries, below), never to domain
-  width.
+  the number of variables plus the sum of arities, plus, once marked, the
+  trail and the cost rows of dense binary tables (bounded by their entries,
+  below), never to domain width.
 * value mode: the small-domain reference engines (node consistency and
   per-value arc consistency), which materialize one unary cost per live
   value and per-value projection offsets for binary functions. Creation is
@@ -56,13 +56,14 @@ steps, and values projected or materialized in value mode), so a time limit
 holds inside one long fixpoint, walk, projection or value-mode set-up.
 
 A binary table without a semi-convex tag whose declared box holds at most
-ROW_FILL_RATIO times its entries gets cost rows: per scope position and
-pinned value, the raw costs over the partner's declared interval, filled on
-first use. A pinned minimum is then the least entry of a slice of one row,
-with the lookups the table scan would have counted. Filled rows hold at
-most twice the declared box, so at most 2 * ROW_FILL_RATIO cells per table
-entry, whatever the domain widths; `allocation_cells` counts them and
-`PropStats.row_fills` counts the table reads that filled them.
+ROW_FILL_RATIO times its entries gets cost rows at the state's first
+`mark`: per scope position and pinned value, the raw costs over the
+partner's declared interval, filled on first use. A pinned minimum is then
+the least entry of a slice of one row, with the lookups the table scan
+would have counted. Filled rows hold at most twice the declared box, so at
+most 2 * ROW_FILL_RATIO cells per table entry, whatever the domain widths;
+`allocation_cells` counts them and `PropStats.row_fills` counts the table
+reads that filled them.
 
 The value engines keep NC*: every live value has w_zero plus its unary cost
 below k, and every non-empty domain has a value of zero unary cost. One
@@ -158,7 +159,7 @@ class ConsistencyReport:
 class PropState:
     """Mutable propagation state owned by a single enforcement or search.
 
-    With `record_trail=True` every mutation is journalled so search can
+    From the first `mark()` on, every mutation is journalled so search can
     restore the state bit-exactly; retained entries are proportional to the
     number of changes. Every trail entry has one shape, `(write, target,
     key, old)`, and `undo_to` pops entries and calls `write(target, key,
@@ -178,7 +179,6 @@ class PropState:
         self,
         inst: Instance,
         mode: str = "interval",
-        record_trail: bool = False,
         pop_rng: Optional[random.Random] = None,
         trace: Optional[list] = None,
         deadline: Optional[float] = None,
@@ -209,12 +209,10 @@ class PropState:
         self.zero_at: List[Optional[tuple]] = [None] * len(inst.functions)
         # Per function, the cost rows of a dense binary table, or None.
         self.table_rows: List[Optional[tuple]] = [None] * len(inst.functions)
-        if mode == "interval":
-            self._declare_rows()
         self.queue: deque = deque()
         self.in_queue = [0] * n  # event mask of each variable; 0 when not queued
         self.pop_rng = pop_rng
-        self.trail: Optional[list] = [] if record_trail else None
+        self.trail: Optional[list] = None  # started by the first `mark`
         self.trace = trace
         self.deadline = deadline
         self.ticks = 0  # units of work, for the deadline
@@ -232,8 +230,8 @@ class PropState:
 
     def _declare_rows(self) -> None:
         """Give cost rows (see the module docstring) to the dense binary
-        tables. Rows hold raw costs only, so they need no trail and stay
-        valid across `undo_to`."""
+        tables, at the first `mark`. Rows hold raw costs only, so they need
+        no trail and stay valid across `undo_to`."""
         spans = [(v.domain.lb, v.domain.ub) for v in self.instance.variables]
         for fi, fn in enumerate(self.instance.functions):
             kind = fn.kind
@@ -315,11 +313,15 @@ class PropState:
 
     def mark(self) -> int:
         if self.trail is None:
-            raise ContractError("state was created without a trail")
+            self.trail = []
+            if self.mode == "interval":
+                self._declare_rows()
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
         trail = self.trail
+        if trail is None:
+            raise ContractError("undo_to needs a mark: call mark() first")
         while len(trail) > mark:
             write, target, key, old = trail.pop()
             write(target, key, old)
@@ -386,9 +388,7 @@ class PropState:
             cells += sum(len(a) for a in self.unary)
         if self.pair_proj is not None:
             cells += sum(len(a) + len(b) for a, b in self.pair_proj.values())
-        for d in self.domains:
-            if d.removed:
-                cells += len(d.removed)
+        cells += sum(len(d.removed) for d in self.domains if d.removed)
         for rows in self.table_rows:
             if rows is not None:
                 cells += sum(len(line) for lines in rows[2] for line in lines.values())

@@ -221,7 +221,7 @@ def solve(inst: Instance, opts: SearchOptions) -> SearchResult:
     deadline = None if opts.time_limit is None else time.perf_counter() + opts.time_limit
     mode = state_mode(opts.consistency)
     try:
-        st = PropState(inst, mode=mode, record_trail=True, deadline=deadline)
+        st = PropState(inst, mode=mode, deadline=deadline)
     except LimitReached:
         return SearchResult(status="limit", best_cost=None, best_assignment=None,
                             nodes=0, backtracks=0)

@@ -14,14 +14,16 @@ Run as a script, it measures every row with the current engines, prints
 every row that changed with the fields that moved and each section's lookup
 total, recorded -> measured, beside the section's row fills (table reads
 that filled cost rows, which are not lookups and are not pinned), and
-rewrites the file.
+rewrites the file. Row fills come from searched states only: a state gets
+cost rows at its first mark, and a one-shot enforcement never marks.
 A lookup ceiling becomes min(old, new). A wipeout enforce row, whose
 deletions before the wipeout follow the revision order, carries the new
 count when it is above its ceiling. The script writes nothing and exits
 with status 1 when a row moves a field that no schedule may change (`empty`
 and `w0` of an enforce row and the deletions of a consistent one; status,
-optimum and witness of a search row), or when a consistent enforce row or a
-bac/bac0 search row rises above its lookup ceiling.
+optimum and witness of a search row), when a consistent enforce row or a
+bac/bac0 search row rises above its lookup ceiling, or when an enforce or
+enforce_values row fills any cost row.
 
     PYTHONPATH=src python tests/record_pins.py
 """
@@ -133,15 +135,19 @@ def main() -> int:
                 if new[-1] > old[-1]:
                     bad.append("lookups above the ceiling")
                 new[-1] = min(old[-1], new[-1])
-            if moved:
-                print(f"{section} {row[:n]}: "
-                      + ", ".join(f"{f} {a} -> {b}" for f, a, b in moved)
-                      + (f" (refused: {', '.join(bad)})" if bad else ""))
+            if section.startswith("enforce") and row_fills:
+                bad.append(f"{row_fills} row fills in a one-shot enforcement")
+            if moved or bad:
+                text = ", ".join(f"{f} {a} -> {b}" for f, a, b in moved)
+                if bad:
+                    text = f"{text} (refused: {', '.join(bad)})".lstrip()
+                print(f"{section} {row[:n]}: {text}")
             refused = refused or bool(bad)
             rows[idx] = row[:n] + new
         print(f"{section}: lookups {totals[0]} -> {totals[1]}, row fills {fills}")
     if refused:
-        print("a row moved a schedule-free field or rose above its ceiling; nothing written")
+        print("a row moved a schedule-free field, rose above its ceiling or filled rows"
+              " in a one-shot enforcement; nothing written")
         return 1
     body = ",\n".join(
         f'  "{section}": [\n' + ",\n".join("    " + json.dumps(r) for r in rows) + "\n  ]"

@@ -23,6 +23,7 @@ from softbounds.oracle import (
     naive_bac_zero_fixpoint,
 )
 from softbounds.propagation import (
+    ENFORCERS,
     PropState,
     enforce_ac_star,
     enforce_bac,
@@ -148,7 +149,7 @@ def test_criterion_05_oracle_equivalence():
 
             opt = brute_optimum(inst)
             want = opt.cost if opt.feasible else None
-            for consistency in ("nc", "ac", "bac", "bac0"):
+            for consistency in ENFORCERS:
                 if consistency == "ac" and not binary_only(inst):
                     continue
                 result = solve(inst, SearchOptions(consistency=consistency))

@@ -19,7 +19,7 @@ from softbounds.generators import gen_random
 from softbounds.fileformat import emit
 from softbounds.search import SearchOptions, solve
 
-ALL = ("nc", "ac", "bac", "bac0")
+ALL = tuple(softbounds.propagation.ENFORCERS)
 
 
 def _load_tracer():

@@ -346,7 +346,7 @@ class TestPrune:
         # The walk of width 5 moves the bound with one trail entry and
         # reports one delete event for all five values.
         trace = []
-        st = PropState(walk_instance(), record_trail=True, trace=trace)
+        st = PropState(walk_instance(), trace=trace)
         st.delta_inf[0][0] = 6
         mark = st.mark()
         assert prune(st, 0, INF)
@@ -367,8 +367,9 @@ class TestPrune:
             [CostFunction(scope=(0,), kind=ExtTable(default=3, table={}))],
         )
         trace = []
-        st = PropState(inst, record_trail=True, trace=trace)
+        st = PropState(inst, trace=trace)
         st.delta_sup[0][0] = 3
+        st.mark()
         assert prune(st, 0, SUP)
         assert st.domains[0].is_empty and st.stats.deletions == 5
         assert trace == [{"event": "delete", "var": 0, "bound": "sup", "value": 6, "amount": 5}]
@@ -444,7 +445,7 @@ class TestProjectToZero:
             [Variable(0, Domain(0, 10)), Variable(1, Domain(0, 10))],
             [CostFunction(scope=(0, 1), kind=LinPlus(1, 1, -4))],
         )
-        st = PropState(inst, record_trail=True)
+        st = PropState(inst)
         enforce_bac_zero(st)
         mark = st.mark()
         for _ in range(2):
@@ -711,10 +712,26 @@ class TestSpaceDiscipline:
         # deleted would make 133 098 entries.
         from softbounds.generators import gen_spacerchain
 
-        st = PropState(gen_spacerchain(m=100, L=10**6, seed=42), record_trail=True)
+        st = PropState(gen_spacerchain(m=100, L=10**6, seed=42))
+        st.mark()
         rep = enforce_bac(st)
         assert (rep.deletions, rep.queue_pops) == (123_000, 5_050)
         assert len(st.trail) <= 15_147
+
+    @pytest.mark.parametrize("enforce", (enforce_bac, enforce_bac_zero))
+    def test_one_shot_enforcement_fills_no_rows(self, enforce):
+        # An enforced state that is never marked reads its tables through
+        # `box_min`: no row is filled, and it holds as many cells as a
+        # network of the same size over domains ten times narrower.
+        from softbounds.generators import gen_random
+
+        cells = []
+        for d in (6, 60):
+            st = PropState(gen_random(n=12, d=d, e=30, seed=3))
+            enforce(st)
+            assert st.stats.row_fills == 0 and st.trail is None
+            cells.append(st.allocation_cells())
+        assert cells[0] == cells[1]
 
     def test_value_mode_allocates_per_value(self):
         inst = Instance(
@@ -759,6 +776,7 @@ class TestTableRows:
             inst = _table_pair(rng)
             fn, val = inst.functions[0], inst.valuation
             st = PropState(inst)
+            st.mark()
             vol = prod(v.domain.size() for v in inst.variables)
             dense = vol <= propagation.ROW_FILL_RATIO * len(fn.kind.table)
             assert (st.table_rows[0] is not None) == dense
@@ -801,6 +819,7 @@ class TestTableRows:
         cells = []
         for width in (10**3, 10**6):
             st = PropState(wide(width))
+            st.mark()
             assert st.table_rows == [None]
             enforce_bac_zero(st)
             assert st.stats.row_fills == 0
@@ -810,9 +829,11 @@ class TestTableRows:
     def test_row_cells_stay_within_the_table_bound(self):
         # Filled rows hold at most the declared box on each side: within
         # 2 * ROW_FILL_RATIO cells per table entry, counted in allocation_cells.
+        total = 0
         for inst in suite(60, max_volume=3000):
             for enforce in (enforce_bac, enforce_bac_zero):
                 st = PropState(inst)
+                st.mark()
                 base = st.allocation_cells()
                 enforce(st)
                 filled = st.allocation_cells() - base
@@ -822,6 +843,8 @@ class TestTableRows:
                     for fn, rows in zip(inst.functions, st.table_rows) if rows is not None
                 )
                 assert filled <= bound
+                total += filled
+        assert total > 0
 
     def test_rows_stay_valid_across_undo(self):
         # Rows hold raw costs and are never trailed: narrowing each variable
@@ -830,7 +853,7 @@ class TestTableRows:
         # state's fixpoint.
         checked = 0
         for inst in suite(60, max_volume=3000):
-            st = PropState(inst, record_trail=True)
+            st = PropState(inst)
             mark = st.mark()
             for xi, d in enumerate(st.domains):
                 narrow(st, xi, d.lb + 1, d.ub)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from softbounds.propagation import ENFORCERS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,4 +30,4 @@ def test_compare_consistencies_runs():
     lines = _run("compare_consistencies.py", "--seeds", "1")
     assert lines[0].split() == ["instance", "mode", "w0", "empty", "nodes", "backtracks", "ms"]
     rows = [line.split() for line in lines[2:] if line]
-    assert [row[1] for row in rows] == ["nc", "ac", "bac", "bac0"]
+    assert [row[1] for row in rows] == list(ENFORCERS)

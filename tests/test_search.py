@@ -24,6 +24,7 @@ from softbounds.propagation import (
     SUP,
     PropState,
     narrow,
+    resume_bounds,
     state_mode,
 )
 from softbounds.search import BRANCHINGS, VAR_ORDERS, SearchOptions, resume_node, solve
@@ -252,7 +253,7 @@ def _assert_rows_exact(st, where):
 class TestStateRestoration:
     def test_post_search_fingerprint(self):
         for inst in suite(10, max_volume=2000):
-            st = PropState(inst, record_trail=True)
+            st = PropState(inst)
             before = st.fingerprint()
             mark = st.mark()
             # Run a search on a separate state, then replay narrowing and
@@ -264,6 +265,36 @@ class TestStateRestoration:
             st.undo_to(mark)
             assert st.fingerprint() == before, inst.name
 
+    def test_undo_before_any_mark_is_refused(self):
+        st = PropState(suite(1)[0])
+        with pytest.raises(ContractError, match="mark"):
+            st.undo_to(0)
+
+    @pytest.mark.parametrize("consistency", ("bac", "bac0"))
+    def test_writes_before_the_first_mark_are_not_trailed(self, consistency):
+        # Enforce without a trail, then mark, narrow, resume and undo: the
+        # undo stops at the enforced fixpoint, which the trail never saw.
+        checked = 0
+        for inst in suite(25, max_volume=3000):
+            st = PropState(inst)
+            if ENFORCERS[consistency](st).empty:
+                continue
+            fixpoint = st.fingerprint()
+            assert st.trail is None
+            mark = st.mark()
+            assert mark == 0
+            open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
+            if not open_vars:
+                continue
+            var = open_vars[0]
+            narrow(st, var, st.domains[var].lb + 1, st.domains[var].ub)
+            resume_bounds(st, consistency == "bac0", [var])
+            assert st.fingerprint() != fixpoint
+            st.undo_to(mark)
+            assert st.fingerprint() == fixpoint, inst.name
+            checked += 1
+        assert checked > 10, checked
+
     @pytest.mark.parametrize("consistency", ALL)
     def test_undo_restores_every_trailed_container(self, consistency):
         # Mirror a search: resume at the root, then nested narrow + resume
@@ -274,7 +305,7 @@ class TestStateRestoration:
         for inst in suite(25, max_volume=3000):
             if consistency == "ac" and not binary_only(inst):
                 continue
-            st = PropState(inst, mode=mode, record_trail=True)
+            st = PropState(inst, mode=mode)
             stack = [(st.mark(), _trailed(st))]
             empty = resume_node(st, consistency, list(range(len(st.domains))))
             for _ in range(6):
@@ -306,7 +337,8 @@ class TestStateRestoration:
         rng = random.Random(consistency)
         checked = swept = 0
         for inst in suite(25, max_volume=3000):
-            st = PropState(inst, record_trail=True)
+            st = PropState(inst)
+            st.mark()  # as the search does before its root resume
             empty = resume_node(st, consistency, list(range(len(st.domains))))
             marks = []
             for step in range(14):
@@ -342,7 +374,8 @@ class TestStateRestoration:
         checked = 0
         for inst in suite(25, max_volume=3000):
             for side in (INF, SUP):
-                st = PropState(inst, record_trail=True)
+                st = PropState(inst)
+                st.mark()  # as the search does before its root resume
                 if resume_node(st, consistency, list(range(len(st.domains)))):
                     break
                 open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
