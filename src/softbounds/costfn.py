@@ -88,6 +88,41 @@ def _corner_min(self, scope, box: TupleBox, k: int, shift: int, ov: FunctionOver
     return _probe_min(self.cost, _corners(box), k, shift, ov)
 
 
+class KeyPool:
+    """One tuple object per distinct key across the tables of one instance.
+
+    Code that builds an instance registers each table with `start` before
+    filling it, and stores each key of a table after the first as
+    `keys.setdefault(key, key)`: the equal tuple an earlier table holds, or
+    `key`, now pooled; `share` does both for a table already filled.
+    The pool opens at the second table, seeded from the first table's keys,
+    so a lone table pays nothing and the pool holds no key that no table
+    holds. Drop it once the instance is built.
+    """
+
+    def __init__(self) -> None:
+        self._first: Optional[dict] = None
+        self._keys: Optional[dict] = None
+
+    def start(self, table: dict) -> Optional[dict]:
+        """The key dict to store `table`'s keys through, or None while
+        `table` is the first table."""
+        if self._keys is None:
+            if self._first is None:
+                self._first = table
+                return None
+            self._keys = dict(zip(self._first, self._first))
+            self._first = None
+        return self._keys
+
+    def share(self, table: dict) -> dict:
+        """A filled `table` as the next table, its keys shared."""
+        keys = self.start(table)
+        if keys is None:
+            return table
+        return dict(zip(map(keys.setdefault, table, table), table.values()))
+
+
 @dataclass(frozen=True)
 class ExtTable:
     """Explicit table with a default cost for unlisted tuples.

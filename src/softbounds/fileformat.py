@@ -23,14 +23,17 @@ text, and a failed check is reported on the `fun` line. As every check
 that `Instance` construction makes is made here on its line, the parsed
 instance is built without making them again.
 
-Lines are cut as `str.splitlines` cuts them and tokenized on demand, one
-logical line per directive, so no token list of the whole file is ever
-built. Table bodies are read in bulk, a chunk of lines at a time: a chunk's
-lines are converted to integers together and checked one column at a time.
-From the first chunk that fails a check (a comment or blank line inside
-it, a bad token, a value or cost out of range, a repeated tuple, an early
-end of file) the body is read line by line, so every error still names
-its line and says what is wrong with it.
+Lines are cut as `str.splitlines` cuts them, one block of text at a time,
+and tokenized on demand, one logical line per directive, so neither a list
+of every line nor a token list of the whole file is ever built. Table
+bodies are read in bulk, a chunk of lines at a time: a chunk's lines are
+converted to integers together and checked one column at a time. From the
+first chunk that fails a check (a comment or blank line inside it, a bad
+token, a value or cost out of range, a repeated tuple, an early end of
+file) the body is read line by line, so every error still names its line
+and says what is wrong with it. Both readers store each key through one
+`costfn.KeyPool` per instance, so the tables of a parsed instance share
+each distinct key tuple.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .core import (
     ValuationStructure,
     Variable,
 )
-from .costfn import KINDS, CostFunction, ExtTable
+from .costfn import KINDS, CostFunction, ExtTable, KeyPool
 from .network import Instance
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -60,26 +63,60 @@ def _int(tok: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"{what} must be an integer, got {tok!r}")
 
 
+# Text is split into lines a block at a time: at least this many characters,
+# up to and including the next "\n".
+_BLOCK = 1 << 15
+
+
 class _Lines:
     """Cursor over the lines of a text, cut exactly as `str.splitlines` cuts.
 
-    `next` tokenizes one logical (non-empty, comment-stripped) line per call,
-    so no token list outlives its directive; `raw` and `pos` let the table
-    reader take whole chunks of a body as slices, and drop their text.
+    The text is split one block at a time, each cut just after a "\n", where
+    `splitlines` of the whole text cuts too, so the lines of the whole text
+    are never held at once. `next` tokenizes one logical (non-empty,
+    comment-stripped) line per call, so no token list outlives its
+    directive; `peek` and `skip` let the table reader take whole chunks of
+    a body at once.
     """
 
     def __init__(self, text: str):
-        self.raw = text.splitlines()
-        self.pos = 0  # index of the next raw line; its number is pos + 1
+        self.text = text
+        self.cut = 0  # offset of the first character not yet split
+        self.block: List[str] = []  # split lines; those from `at` on are unread
+        self.at = 0
+        self.pos = 0  # lines read; the next one's number is pos + 1
+
+    def _split_block(self) -> bool:
+        """Appends the next block's lines to the unread ones; False at the end."""
+        text, cut = self.text, self.cut
+        if cut >= len(text):
+            return False
+        end = text.find("\n", cut + _BLOCK - 1) + 1 or len(text)
+        self.block = self.block[self.at :] + text[cut:end].splitlines()
+        self.at = 0
+        self.cut = end
+        return True
 
     def next(self) -> Optional[Tuple[int, List[str]]]:
-        raw = self.raw
-        while self.pos < len(raw):
+        while self.at < len(self.block) or self._split_block():
+            line = self.block[self.at]
+            self.at += 1
             self.pos += 1
-            toks = raw[self.pos - 1].split("#", 1)[0].split()
+            toks = line.split("#", 1)[0].split()
             if toks:
                 return self.pos, toks
         return None
+
+    def peek(self, n: int) -> List[str]:
+        """The next `n` lines, unread, or as many as the text has left."""
+        while len(self.block) - self.at < n and self._split_block():
+            pass
+        return self.block[self.at : self.at + n]
+
+    def skip(self, n: int) -> None:
+        """Reads past `n` lines that `peek` returned."""
+        self.at += n
+        self.pos += n
 
 
 def parse_text(text: str) -> Instance:
@@ -97,6 +134,7 @@ def parse_text(text: str) -> Instance:
     saw_w0 = False
     variables: List[Variable] = []
     functions: List[CostFunction] = []
+    pool = KeyPool()  # dropped with this frame, once the instance is built
 
     def need_val(lineno: int) -> ValuationStructure:
         if val is None:
@@ -156,7 +194,9 @@ def parse_text(text: str) -> Instance:
         elif head == "fun":
             if len(toks) < 2:
                 raise ParseError(lineno, "truncated fun directive")
-            functions.append(_parse_fun(lines, lineno, toks, need_val(lineno), var_interval))
+            functions.append(
+                _parse_fun(lines, lineno, toks, need_val(lineno), var_interval, pool)
+            )
         elif head == "tag":
             _apply_tag(functions, lineno, toks, need_val(lineno), variables)
         else:
@@ -169,7 +209,7 @@ def parse_text(text: str) -> Instance:
     return Instance(name, val, variables, functions, w_zero, _prechecked=True)
 
 
-def _parse_fun(lines, lineno, toks, val, var_interval) -> CostFunction:
+def _parse_fun(lines, lineno, toks, val, var_interval, pool) -> CostFunction:
     sub = toks[1]
     args = toks[2:]
     if sub == "ext":
@@ -190,7 +230,7 @@ def _parse_fun(lines, lineno, toks, val, var_interval) -> CostFunction:
         count = _int(args[r + 2], lineno, "tuple count")
         if count < 0:
             raise ParseError(lineno, f"tuple count must be at least 0, got {count}")
-        table = _read_table(lines, lineno, count, intervals, val.k)
+        table = _read_table(lines, lineno, count, intervals, val.k, pool)
         return CostFunction(scope=scope, kind=ExtTable(default=default, table=table))
 
     cls = KINDS.get(sub)
@@ -223,8 +263,11 @@ def _parse_fun(lines, lineno, toks, val, var_interval) -> CostFunction:
 _CHUNK = 4096
 
 
-def _read_table(lines: _Lines, lineno: int, count: int, intervals, k: int) -> dict:
-    """The `count` tuple lines after a `fun ext` line, as a table.
+def _read_table(
+    lines: _Lines, lineno: int, count: int, intervals, k: int, pool: KeyPool
+) -> dict:
+    """The `count` tuple lines after a `fun ext` line, as a table whose keys
+    go through `pool`.
 
     Whole chunks of the body are read in bulk while each one is exactly its
     lines' worth of r + 1 in-range integers and repeats no tuple. The rest of
@@ -234,7 +277,8 @@ def _read_table(lines: _Lines, lineno: int, count: int, intervals, k: int) -> di
     same line with the same message as reading the whole body line by line.
     """
     table: dict = {}
-    done = _bulk_rows(lines, count, intervals, k, table)
+    keys = pool.start(table)
+    done = _bulk_rows(lines, count, intervals, k, table, keys)
     r = len(intervals)
     for _ in range(count - done):
         item = lines.next()
@@ -252,23 +296,25 @@ def _read_table(lines: _Lines, lineno: int, count: int, intervals, k: int) -> di
             raise ParseError(tl, f"cost {cost} outside [0, {k}]")
         if values in table:
             raise ParseError(tl, f"duplicate tuple {values}")
-        table[values] = cost
+        table[values if keys is None else keys.setdefault(values, values)] = cost
     return table
 
 
-def _bulk_rows(lines: _Lines, count: int, intervals, k: int, table: dict) -> int:
+def _bulk_rows(
+    lines: _Lines, count: int, intervals, k: int, table: dict, keys: Optional[dict]
+) -> int:
     """Adds the valid whole chunks that start the next `count` lines to
     `table`, checked one column at a time, and returns how many lines that
-    consumed. The text of consumed lines is dropped: it is never read again.
+    consumed. Keys are stored through `keys` (`KeyPool.start`) when it is
+    not None. A chunk's text is held only until the reader moves past its
+    block.
     """
-    raw = lines.raw
     r1 = len(intervals) + 1
     ranges = intervals + [(0, k)]
     done = 0
     while done < count:
-        start = lines.pos
         n = min(_CHUNK, count - done)
-        chunk = raw[start : start + n]
+        chunk = lines.peek(n)
         if len(chunk) < n:
             break  # the file ends inside the body
         if set(map(len, map(str.split, chunk))) != {r1}:
@@ -280,12 +326,12 @@ def _bulk_rows(lines: _Lines, count: int, intervals, k: int, table: dict) -> int
         cols = [ints[i::r1] for i in range(r1)]
         if any(min(col) < lo or max(col) > hi for col, (lo, hi) in zip(cols, ranges)):
             break
-        part = dict(zip(zip(*cols[:-1]), cols[-1]))
+        ks = list(zip(*cols[:-1]))
+        part = dict(zip(ks if keys is None else map(keys.setdefault, ks, ks), cols[-1]))
         if len(part) < n or not part.keys().isdisjoint(table.keys()):
             break  # a repeated tuple
         table.update(part)
-        raw[start : start + n] = [None] * n
-        lines.pos = start + n
+        lines.skip(n)
         done += n
     return done
 

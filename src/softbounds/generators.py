@@ -3,7 +3,10 @@
 All three shapes are seeded and reproducible byte-for-byte through emit().
 Each builds only what `Instance`'s checks accept (dense ids, non-empty
 intervals, in-range tuples and costs), so it skips those checks;
-tests/test_generators.py runs them on every shape.
+tests/test_generators.py runs them on every shape. The pair tables of
+`gen_random` and `gen_satellite` draw their keys from small grids, so each
+distinct key is one tuple shared by every table that lists it
+(`costfn.KeyPool`).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import random
 from typing import Dict, List, Tuple
 
 from .core import ContractError, Domain, ValuationStructure, Variable
-from .costfn import CostFunction, ExtTable, Spacer
+from .costfn import CostFunction, ExtTable, KeyPool, Spacer
 from .network import Instance
 
 
@@ -39,6 +42,7 @@ def gen_random(
     rng = random.Random(seed)
     variables = [Variable(i, Domain(0, d - 1)) for i in range(n)]
     functions = []
+    pool = KeyPool()
     for _ in range(e):
         i, j = rng.sample(range(n), 2)
         if i > j:
@@ -48,6 +52,7 @@ def gen_random(
             for vj in range(d):
                 if rng.random() < tightness:
                     table[(vi, vj)] = min(k, rng.randint(1, max_cost))
+        table = pool.share(table)
         functions.append(CostFunction(scope=(i, j), kind=ExtTable(default=0, table=table)))
     return Instance(
         name=f"random-n{n}-d{d}-e{e}-s{seed}",
@@ -93,6 +98,7 @@ def gen_satellite(N: int, horizon: int = 12, seed: int = 0) -> Instance:
         Variable(i, Domain(windows[i][0], rejects[i])) for i in range(N)
     ]
     functions = []
+    pool = KeyPool()
     for i in range(N):
         for j in range(i + 1, N):
             table = {}
@@ -109,6 +115,7 @@ def gen_satellite(N: int, horizon: int = 12, seed: int = 0) -> Instance:
                             cost = k
                     if cost:
                         table[(vi, vj)] = cost
+            table = pool.share(table)
             functions.append(
                 CostFunction(scope=(i, j), kind=ExtTable(default=0, table=table))
             )

@@ -147,6 +147,22 @@ def spacer_chains(max_volume: Optional[int] = None) -> List[Instance]:
     return [inst for inst in chains if prod(v.domain.size() for v in inst.variables) <= max_volume]
 
 
+def repeated_keys(inst: Instance) -> Tuple[int, int]:
+    """How many table keys equal a key of an earlier table, and how many of
+    those are the very tuple object that the earlier table holds."""
+    first: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    repeats = shared = 0
+    for fn in inst.functions:
+        if isinstance(fn.kind, ExtTable):
+            for key in fn.kind.table:
+                if key in first:
+                    repeats += 1
+                    shared += first[key] is key
+                else:
+                    first[key] = key
+    return repeats, shared
+
+
 def binary_only(inst: Instance) -> bool:
     return all(fn.arity <= 2 for fn in inst.functions)
 

@@ -9,6 +9,7 @@ from softbounds.costfn import (
     ExtTable,
     FunctionOverlay,
     FunctionalEq,
+    KeyPool,
     LinPlus,
     MonoLeq,
     Spacer,
@@ -263,3 +264,20 @@ class TestValidators:
         fn = CostFunction(scope=(0, 1), kind=AntiFunctionalNeq(alpha=2))
         with pytest.raises(CapError):
             validate_semiconvex(fn, {0: (0, 1000), 1: (0, 3)}, 0, "asc", val)
+
+
+def test_key_pool_opens_at_the_second_table():
+    pool = KeyPool()
+    first = {(0, 1): 1, (2, 3): 2}
+    assert pool.share(first) is first  # a lone table is kept as it is
+    assert pool._keys is None
+    second = pool.share({(0, 1): 5, (4, 4): 1})
+    third = pool.share({(4, 4): 2, (2, 3): 3})
+    assert second == {(0, 1): 5, (4, 4): 1} and third == {(4, 4): 2, (2, 3): 3}
+    held = {key: key for key in first}
+    for key in second:
+        held.setdefault(key, key)
+    for table in (second, third):
+        assert all(held[key] is key for key in table)
+    # The pool holds only keys some table holds.
+    assert set(pool._keys) == set(first) | set(second) | set(third)

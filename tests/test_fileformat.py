@@ -19,7 +19,7 @@ from softbounds.fileformat import emit, parse_path, parse_text
 from softbounds.generators import gen_random, gen_satellite, gen_spacerchain
 from softbounds.network import Instance
 
-from helpers import suite
+from helpers import repeated_keys, suite
 
 SAMPLE = """\
 # a small mixed instance
@@ -304,6 +304,30 @@ class TestRoundTrips:
         a = emit(gen_random(n=5, d=6, e=7, seed=9))
         b = emit(gen_random(n=5, d=6, e=7, seed=9))
         assert a == b
+
+
+class TestSharedKeys:
+    """Equal keys of different tables are one tuple in a parsed instance,
+    on both table readers."""
+
+    TEXT = emit(gen_random(n=6, d=6, e=10, seed=1))
+
+    def test_bulk_reader(self):
+        repeats, shared = repeated_keys(parse_text(self.TEXT))
+        assert repeats > 0 and shared == repeats
+
+    def test_line_by_line_reader(self):
+        # A comment after each `fun ext` line fails every table's first
+        # chunk, so each body is read line by line.
+        text = "".join(
+            line + "\n# c\n" if line.startswith("fun ext") else line + "\n"
+            for line in self.TEXT.splitlines()
+        )
+        assert text.count("# c") == 10
+        inst = parse_text(text)
+        assert inst == parse_text(self.TEXT)
+        repeats, shared = repeated_keys(inst)
+        assert repeats > 0 and shared == repeats
 
 
 class TestParsePath:

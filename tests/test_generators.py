@@ -10,6 +10,8 @@ from softbounds.network import Instance
 from softbounds.oracle import brute_optimum
 from softbounds.propagation import PropState, enforce_bac_zero
 
+from helpers import repeated_keys
+
 
 class TestRandom:
     def test_deterministic_per_seed(self):
@@ -27,6 +29,10 @@ class TestRandom:
         inst = gen_random(n=4, d=5, e=6, max_cost=99, k=7, seed=3)
         for fn in inst.functions:
             assert all(0 < c <= 7 for c in fn.kind.table.values())
+
+    def test_tables_share_equal_keys(self):
+        repeats, shared = repeated_keys(gen_random(n=6, d=6, e=10, seed=1))
+        assert repeats > 0 and shared == repeats
 
     def test_bad_params(self):
         with pytest.raises(ContractError):
@@ -60,6 +66,10 @@ class TestSatellite:
         inst = gen_satellite(N=4, seed=1)
         k = inst.valuation.k
         assert any(c == k for fn in inst.functions for c in fn.kind.table.values())
+
+    def test_tables_share_equal_keys(self):
+        repeats, shared = repeated_keys(gen_satellite(N=6, seed=1))
+        assert repeats > 0 and shared == repeats
 
     def test_solvable(self):
         inst = gen_satellite(N=4, seed=9)

@@ -1,9 +1,11 @@
-"""The on-demand tokenizer and bulk table reader against the eager parser.
+"""The block-by-block tokenizer and bulk table reader against the eager parser.
 
-The reference is a copy of the eager `_Lines` and of the per-line table loop
-the parser had before table bodies were read in bulk. Both are plugged into
-the shared directive parser, so any difference in an accepted `Instance` or
-in the line and message of a `ParseError` comes from the new reading path.
+The reference is a copy of the eager `_Lines`, which splits the whole text
+up front, and of the per-line table loop the parser had before table bodies
+were read in bulk. Both are plugged into the shared directive parser, so
+any difference in an accepted `Instance` or in the line and message of a
+`ParseError` comes from the new reading path. Block and chunk sizes are
+patched down to 1 so that every cut falls inside the generated texts.
 `check_function` is compared the same way with a copy of its per-tuple loop.
 """
 
@@ -48,8 +50,8 @@ class RefLines:
         return item
 
 
-def ref_read_table(lines, lineno, count, intervals, k):
-    """The per-line table loop, one tuple line at a time."""
+def ref_read_table(lines, lineno, count, intervals, k, pool):
+    """The per-line table loop, one tuple line at a time; `pool` is unused."""
     r = len(intervals)
     table = {}
     for _ in range(count):
@@ -208,12 +210,44 @@ def perturbed_text(draw):
     return "".join(line + br for line, br in zip(lines, breaks))
 
 
+BLOCKS = [1, 7, fileformat._BLOCK]
+
+
 @settings(max_examples=400)
-@given(text=perturbed_text(), chunk=st.sampled_from([1, 2, 3, fileformat._CHUNK]))
-def test_parser_matches_eager_per_line_reference(text, chunk):
-    with mock.patch.object(fileformat, "_CHUNK", chunk):
+@given(
+    text=perturbed_text(),
+    chunk=st.sampled_from([1, 2, 3, fileformat._CHUNK]),
+    block=st.sampled_from(BLOCKS),
+)
+def test_parser_matches_eager_per_line_reference(text, chunk, block):
+    with mock.patch.object(fileformat, "_CHUNK", chunk), mock.patch.object(
+        fileformat, "_BLOCK", block
+    ):
         got = outcome(text)
     assert got == reference_outcome(text)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_lines_are_cut_as_splitlines_cuts(block):
+    text = "a\r\nb\rc\x85d\u2028e\n\nf\r\n\r\ng\x0ch"
+    lines = fileformat._Lines(text)
+    got = []
+    with mock.patch.object(fileformat, "_BLOCK", block):
+        while (item := lines.next()) is not None:
+            got.append(item)
+    assert got == [(n, [t]) for n, t in enumerate(text.splitlines(), 1) if t]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_error_line_past_a_block_boundary(block):
+    # Mixed line ends; only "\n" may end a block, and line 9 lies past at
+    # least two of them whatever the block size.
+    text = "wcsp t\r\nk 9\rvar 0 0 2\x85fun ext 1 0 0 3\u2028# c\n0 1\n\r\n1 2\n3 4\n"
+    with mock.patch.object(fileformat, "_BLOCK", block):
+        with pytest.raises(ParseError) as err:
+            parse_text(text)
+    assert (err.value.lineno, err.value.message) == (9, "value 3 outside [0, 2]")
+    assert reference_outcome(text) == ("parse", 9, "value 3 outside [0, 2]")
 
 
 @settings(max_examples=100)
@@ -225,22 +259,32 @@ def test_clean_instances_parse_identically(lines):
     assert got == reference_outcome(text)
 
 
-def _bulk_read(body, chunk, tail="var 2 0 0\n"):
+ENDS = ["\n", "\r\n", "\r", "\x85", "\u2028"]
+
+
+def _bulk_read(body, chunk, block, tail="var 2 0 0\n", mixed=False):
+    # With `mixed`, the body's lines end in turn with each line break.
+    ends = ENDS if mixed else ["\n"]
     head = "wcsp t\nk 9\nvar 0 0 2\nvar 1 0 2\nfun ext 2 0 1 0 3\n"
-    lines = fileformat._Lines(head + "".join(line + "\n" for line in body) + tail)
-    for _ in range(5):
-        lines.next()
+    text = head + "".join(line + ends[i % len(ends)] for i, line in enumerate(body)) + tail
+    lines = fileformat._Lines(text)
     table = {}
-    with mock.patch.object(fileformat, "_CHUNK", chunk):
-        done = fileformat._bulk_rows(lines, 3, [(0, 2), (0, 2)], 9, table)
-    return done, table, lines
+    with mock.patch.object(fileformat, "_CHUNK", chunk), mock.patch.object(
+        fileformat, "_BLOCK", block
+    ):
+        for _ in range(5):
+            lines.next()
+        done = fileformat._bulk_rows(lines, 3, [(0, 2), (0, 2)], 9, table, None)
+        return done, table, lines.pos, lines.next()
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["lf", "mixed-ends"])
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("chunk", [1, 2, fileformat._CHUNK])
-def test_bulk_reader_consumes_valid_chunks_only(chunk):
-    done, table, lines = _bulk_read(["0 0 1", "1 2 3", "2 1 9"], chunk)
+def test_bulk_reader_consumes_valid_chunks_only(chunk, block, mixed):
+    done, table, pos, after = _bulk_read(["0 0 1", "1 2 3", "2 1 9"], chunk, block, mixed=mixed)
     assert done == 3 and table == {(0, 0): 1, (1, 2): 3, (2, 1): 9}
-    assert lines.next() == (9, ["var", "2", "0", "0"])
+    assert after == (9, ["var", "2", "0", "0"])
     # (body, index of its first bad line); the trailing `var` line is
     # read as the third tuple line when the body is one line short.
     for body, bad in (
@@ -256,10 +300,10 @@ def test_bulk_reader_consumes_valid_chunks_only(chunk):
         (["0 0 1", "1 2 3", "0 0 9"], 2),
         (["0 0 1", "1 2 3"], 2),
     ):
-        done, table, lines = _bulk_read(body, chunk)
+        done, table, pos, after = _bulk_read(body, chunk, block, mixed=mixed)
         whole = bad // chunk * chunk  # lines in the valid chunks before it
-        assert (done, lines.pos, len(table)) == (whole, 5 + whole, whole), body
-    done, table, lines = _bulk_read(["0 0 1", "1 2 3"], chunk, tail="")
+        assert (done, pos, len(table)) == (whole, 5 + whole, whole), body
+    done, table, pos, after = _bulk_read(["0 0 1", "1 2 3"], chunk, block, tail="", mixed=mixed)
     assert done == 2 // chunk * chunk
 
 
