@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check engines against brute force")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=OracleBudget().max_tuples)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -41,19 +41,19 @@ writes its bound once, at its end: one trail entry, one `deletions`
 increase by its width and one trace event, however many values it removed.
 
 `project_to_zero` skips the box minimization of a function whose box and
-shift are those at which its minimum was last found 0 (`zero_at`), so the
-projecting engine minimizes each function once per box it sees.
+shift are those at which its minimum was last found 0 (`zero_at`): the
+projecting engine and backward checking minimize a function once per box.
 
-The bound fixpoint runs in one function, `resume_bounds`; enforcement
-resets every row, queues every variable and resumes. A resume sweeps every
-bound only when k - w_zero fell below its value at the last completed
-resume, kept in the trailed `fixpoint_slack`; otherwise no row outside the
-queue can fire. `backward_check`, run by the search after a bac or nc resume,
-projects only the functions whose scope has just become fully assigned,
-found through the trailed per-variable `assigned` flags. A `deadline` on
-the state is checked every DEADLINE_POPS units of work (queue pops, walk
-steps, and values projected or materialized in value mode), so a time limit
-holds inside one long fixpoint, walk, projection or value-mode set-up.
+The bound fixpoint runs in one function, `resume_bounds`; enforcement resets
+every row, queues every variable and resumes. A resume sweeps every bound only
+when k - w_zero fell below its value at the last completed resume, kept in the
+trailed `fixpoint_slack`; otherwise no row outside the queue can fire.
+`backward_check`, run by the search after a bac or nc resume, projects with
+`project_to_zero`, in both modes, the functions whose scope has just become
+fully assigned (trailed `assigned` flags). A `deadline` on the state is
+checked every DEADLINE_POPS units of work (queue pops, walk steps, and values
+projected or materialized in value mode), so a time limit holds inside one
+long fixpoint, walk, projection or value-mode set-up.
 
 A binary table without a semi-convex tag whose declared box holds at most
 ROW_FILL_RATIO times its entries gets cost rows at the state's first
@@ -699,16 +699,17 @@ def enforce_bac_zero(st: PropState) -> ConsistencyReport:
 
 def backward_check(st: PropState) -> bool:
     """Backward checking: move the cost of every function whose scope has
-    just become fully assigned onto w_zero through its shift, in function
-    order. The search resumes after each move until nothing moves.
+    just become fully assigned onto w_zero with `project_to_zero`, in
+    function order, and zero its row entries, which predate the shift. The
+    search resumes after each move until nothing moves.
 
     Variables are flagged in the trailed `assigned` list the first time a
     pass sees them assigned, so only the functions of newly flagged
     variables are tested; those fully assigned earlier on the branch were
-    projected then and cost nothing more. Returns whether anything moved;
-    stops early once w_zero reaches the top.
+    projected then. Value mode skips the unary functions its set-up
+    absorbed. Returns whether anything moved; stops once w_zero is at k.
     """
-    project_assigned = _project_assigned_values if st.mode == "values" else _project_assigned_bounds
+    skip_unary = st.mode == "values"
     assigned = st.assigned
     fresh = set()
     for xi, d in enumerate(st.domains):
@@ -718,24 +719,26 @@ def backward_check(st: PropState) -> bool:
     moved = False
     functions = st.instance.functions
     for fi in sorted(fresh):
-        if all(assigned[v] for v in functions[fi].scope):
-            if project_assigned(st, fi):
-                moved = True
-                if st.w_zero >= st.k:
-                    break
+        scope = functions[fi].scope
+        if (skip_unary and len(scope) == 1) or not all(assigned[v] for v in scope):
+            continue
+        if project_to_zero(st, fi):
+            moved = True
+            for v in scope:
+                slot = st.slot_of[v][fi]
+                for delta in st._caches:
+                    st._set_cell(delta[v], slot, 0)
+            if st.w_zero >= st.k:
+                break
     return moved
 
 
-def _project_assigned_bounds(st: PropState, fi: int) -> bool:
-    if not project_to_zero(st, fi):
-        return False
-    # The cached contributions of this function predate the shift and would
-    # double count it; the singleton tuple now costs exactly zero.
-    for v in st.instance.functions[fi].scope:
-        slot = st.slot_of[v][fi]
-        for delta in st._caches:
-            st._set_cell(delta[v], slot, 0)
-    return True
+def _emptied(st: PropState, touched: List[int]) -> bool:
+    """Whether a touched or queued variable has an empty domain, as after a
+    `narrow` to a range outside it; the resume is then a wipeout. The search
+    touches one variable per node, so this costs O(1) there."""
+    doms = st.domains
+    return any(doms[xi].is_empty for xi in touched) or any(doms[xi].is_empty for xi in st.queue)
 
 
 def resume_bounds(st: PropState, project: bool, touched: List[int]) -> bool:
@@ -757,7 +760,8 @@ def resume_bounds(st: PropState, project: bool, touched: List[int]) -> bool:
         if not st.in_queue[xi]:
             st._push(xi)
     slack = st.k - st.w_zero
-    if slack <= 0:  # a wipeout even over variables that no function touches
+    # A slack at or below 0 is a wipeout even over variables no function touches.
+    if slack <= 0 or _emptied(st, touched):
         st._clear_queue()
         return True
     if (slack < st.fixpoint_slack and _prune_all(st)) or _bound_loop(st, project):
@@ -965,28 +969,6 @@ def enforce_ac_star(st: PropState) -> ConsistencyReport:
     return _report(st, _ac_loop(st))
 
 
-def _project_assigned_values(st: PropState, fi: int) -> bool:
-    """Move a fully assigned function's effective cost to the constant term
-    via its shift."""
-    fn = st.instance.functions[fi]
-    if fn.arity == 1:
-        return False  # absorbed into the unary arrays
-    values = tuple(st.domains[v].lb for v in fn.scope)
-    ov = st.overlays[fi]
-    ov.eval_count += 1
-    raw = raw_cost(fn, values, st.val)
-    valk = st.val.k
-    eff = valk if raw == valk else raw - min(ov.delta_shift, raw)
-    if eff == 0:
-        return False
-    st.stats.projections += 1
-    if st.trace is not None:
-        st.trace.append({"event": "project", "fn": fi, "amount": eff})
-    st._set_attr(st, "w_zero", min(st.k, st.w_zero + eff))
-    st._set_attr(ov, "delta_shift", min(valk, ov.delta_shift + eff))
-    return True
-
-
 def resume_values(st: PropState, arc: bool, touched: List[int]) -> bool:
     """Re-establish NC (and arc consistency when `arc`) once after
     narrowing, or after backward checking raised w_zero.
@@ -997,7 +979,7 @@ def resume_values(st: PropState, arc: bool, touched: List[int]) -> bool:
     on wipeout.
     """
     st._require_values()
-    if st.w_zero >= st.k or _nc_fixpoint(st, touched):
+    if st.w_zero >= st.k or _emptied(st, touched) or _nc_fixpoint(st, touched):
         st._clear_queue()
         return True
     if arc:

@@ -80,12 +80,13 @@ def resume_node(st: PropState, consistency: str, touched: List[int]) -> bool:
     returns True on wipeout. Under bac and nc, whose fixpoints do not
     project assigned functions themselves, backward checking follows, and
     each move is resumed with nothing touched until nothing moves."""
+    project = consistency in ("bac0", "ac")
     while True:
-        if consistency in ("bac", "bac0"):
-            empty = resume_bounds(st, project=consistency == "bac0", touched=touched)
+        if st.mode == "interval":
+            empty = resume_bounds(st, project=project, touched=touched)
         else:
-            empty = resume_values(st, arc=consistency == "ac", touched=touched)
-        if empty or consistency in ("bac0", "ac") or not backward_check(st):
+            empty = resume_values(st, arc=project, touched=touched)
+        if empty or project or not backward_check(st):
             return empty
         touched = []
 

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from softbounds.cli import main
+from softbounds.cli import build_parser, main
 from softbounds.fileformat import emit
 from softbounds.generators import GENERATORS, gen_random, gen_spacerchain
+from softbounds.oracle import OracleBudget
 
 
 @pytest.fixture
@@ -230,6 +231,10 @@ class TestVerify:
         assert code == 1
         assert rep["optimum"] is None
         assert rep["bac_agree"] and rep["bac0_agree"] and rep["solve_agree"]
+
+    def test_budget_defaults_to_the_oracle_budget(self):
+        args = build_parser().parse_args(["verify", "x.wcsp"])
+        assert args.budget == OracleBudget().max_tuples
 
     def test_budget_refusal(self, capsys, tmp_path):
         path = tmp_path / "wide.wcsp"

@@ -13,6 +13,7 @@ from softbounds.costfn import (
     LinPlus,
     MonoLeq,
     Spacer,
+    check_function,
     evaluate,
     min_over_box,
     min_over_box_pinned,
@@ -264,6 +265,36 @@ class TestValidators:
         fn = CostFunction(scope=(0, 1), kind=AntiFunctionalNeq(alpha=2))
         with pytest.raises(CapError):
             validate_semiconvex(fn, {0: (0, 1000), 1: (0, 3)}, 0, "asc", val)
+
+
+_VAL = ValuationStructure(9)
+_PAIR = CostFunction(scope=(0, 1), kind=MonoLeq(0, 1))
+_TRIPLE = CostFunction(scope=(0, 1, 2), kind=ExtTable(default=0, table={}))
+_BOX = {0: (0, 3), 1: (0, 3)}
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: MonoLeq(0, 1).check((0,), {0: (0, 3)}, _VAL),
+                     "requires a binary scope", id="binary-kind-on-unary-scope"),
+        pytest.param(lambda: min_over_box(_PAIR, {0: (0, 3)}, _VAL),
+                     "does not cover scope", id="box-short-of-scope"),
+        pytest.param(lambda: min_over_box_pinned(_PAIR, _BOX, 2, 0, _VAL),
+                     "pin variable 2 not in scope", id="pin-outside-scope"),
+        pytest.param(lambda: validate_semiconvex(_TRIPLE, _BOX, 0, "asc", _VAL),
+                     "binary scopes", id="semiconvex-ternary"),
+        pytest.param(lambda: validate_semiconvex(_PAIR, _BOX, 0, "up", _VAL),
+                     "order must be", id="semiconvex-bad-order"),
+        pytest.param(lambda: check_function(CostFunction((), ExtTable(default=0, table={})), {}, _VAL),
+                     "non-empty scope", id="empty-scope"),
+        pytest.param(lambda: check_function(CostFunction((0, 0), MonoLeq(0, 1)), _BOX, _VAL),
+                     "repeats a variable", id="repeated-variable"),
+    ],
+)
+def test_malformed_calls_are_refused(call, message):
+    with pytest.raises(ContractError, match=message):
+        call()
 
 
 def test_key_pool_opens_at_the_second_table():

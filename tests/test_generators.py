@@ -101,6 +101,23 @@ class TestSpacerChain:
         assert emit(gen_spacerchain(4, 100, seed=2)) == emit(gen_spacerchain(4, 100, seed=2))
 
 
+@pytest.mark.parametrize(
+    "gen,params,message",
+    [
+        (gen_random, dict(n=3, d=3, e=1, max_cost=0), "max_cost and k"),
+        (gen_random, dict(n=3, d=3, e=1, k=0), "max_cost and k"),
+        (gen_satellite, dict(N=1), "N >= 2"),
+        (gen_satellite, dict(N=3, horizon=3), "horizon >= 4"),
+        (gen_spacerchain, dict(m=1, L=10), "m >= 2"),
+        (gen_spacerchain, dict(m=2, L=9), "L >= 10"),
+        (gen_spacerchain, dict(m=2, L=10, k=1), "k >= 2"),
+    ],
+)
+def test_out_of_range_params_are_refused(gen, params, message):
+    with pytest.raises(ContractError, match=message):
+        gen(**params)
+
+
 class TestPrechecked:
     """The generators build their instances without re-running `Instance`'s
     checks; these tests make those checks on what they build."""

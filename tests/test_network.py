@@ -80,6 +80,10 @@ def test_instance_validation():
             [Variable(0, Domain(0, 1))],
             [CostFunction(scope=(0,), kind=ExtTable(default=0, table={(0,): 9}))],
         )
+    with pytest.raises(ContractError, match="empty domain"):
+        Instance("bad", val, [Variable(0, Domain(1, 0))], [])
+    with pytest.raises(ContractError, match="plain intervals"):
+        Instance("bad", val, [Variable(0, Domain(0, 2, removed={1}))], [])
     with pytest.raises(ContractError):  # not one of the cost kinds
         Instance(
             "bad",

@@ -59,6 +59,18 @@ def assert_nc_star(st, where):
     assert (st.fingerprint(), vars(st.stats)) == before, where
 
 
+def one_variable():
+    """One variable over [0, 1] and no function."""
+    return Instance("u", ValuationStructure(9), [Variable(0, Domain(0, 1))], [])
+
+
+def emptied_values_state():
+    """A value-mode state over one variable that a narrow has emptied."""
+    st = PropState(one_variable(), mode="values")
+    narrow(st, 0, 1, 0)
+    return st
+
+
 def unary_map(st, xi):
     d = st.domains[xi]
     return {v: st.unary[xi][v - st.base_lb[xi]] for v in d.iter_values()}
@@ -104,6 +116,26 @@ class TestUnaryProjection:
         inst = Instance("u", ValuationStructure(9), [Variable(0, Domain(0, 1))], [])
         with pytest.raises(ContractError):
             project_unary(PropState(inst), 0)
+
+    def test_refuses_an_empty_domain(self):
+        with pytest.raises(ContractError, match="no live values"):
+            project_unary(emptied_values_state(), 0)
+
+
+class TestRefusedStates:
+    def test_unknown_mode(self):
+        with pytest.raises(ContractError, match="unknown mode"):
+            PropState(one_variable(), mode="dense")
+
+    @pytest.mark.parametrize("enforce", (enforce_bac, enforce_bac_zero))
+    def test_interval_enforcement_on_a_value_state(self, enforce):
+        with pytest.raises(ContractError, match="interval-mode state"):
+            enforce(PropState(one_variable(), mode="values"))
+
+    @pytest.mark.parametrize("enforce", (enforce_nc, enforce_ac_star))
+    def test_an_empty_domain_is_reported_at_once(self, enforce):
+        rep = enforce(emptied_values_state())
+        assert rep.empty and rep.deletions == rep.projections == rep.queue_pops == 0
 
 
 class TestBinaryProjection:

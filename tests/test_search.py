@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import time
@@ -15,6 +16,7 @@ from softbounds.core import (
     Variable,
 )
 from softbounds.costfn import CostFunction, ExtTable, Spacer
+from softbounds.generators import gen_random
 from softbounds.network import Instance, total_cost
 from softbounds.oracle import brute_min_over_box, brute_optimum
 from softbounds.propagation import (
@@ -23,6 +25,7 @@ from softbounds.propagation import (
     INF,
     SUP,
     PropState,
+    backward_check,
     narrow,
     resume_bounds,
     state_mode,
@@ -452,6 +455,69 @@ class TestStateRestoration:
             assert all(a > b for a, b in zip(seq, seq[1:])), inst.name
             if result.best_cost is not None:
                 assert seq and seq[-1] == result.best_cost
+
+
+class TestBackwardChecking:
+    @pytest.mark.parametrize("consistency", ("bac", "nc"))
+    def test_a_full_assignment_projects_its_total_cost(self, consistency):
+        # Every full assignment inside the root fixpoint: once each variable
+        # is narrowed to its value, backward checking has moved every
+        # function's cost onto w_zero, so the resume wipes out exactly when
+        # the total cost reaches k, and w_zero is that cost otherwise.
+        checked = 0
+        for inst in suite(30, max_volume=400):
+            st = PropState(inst, mode=state_mode(consistency))
+            st.mark()
+            every = list(range(len(st.domains)))
+            if resume_node(st, consistency, every):
+                continue
+            root = st.mark()
+            for values in itertools.product(*[list(d.iter_values()) for d in st.domains]):
+                st.undo_to(root)
+                for xi, v in enumerate(values):
+                    narrow(st, xi, v, v)
+                empty = resume_node(st, consistency, every)
+                cost = total_cost(inst, dict(enumerate(values)))
+                assert empty == (cost >= st.k), (inst.name, values)
+                if not empty:
+                    assert st.w_zero == cost, (inst.name, values)
+                checked += 1
+        assert checked > 1000, checked
+
+    @pytest.mark.parametrize("consistency", ("bac", "nc"))
+    def test_a_second_check_moves_nothing_and_undo_restores(self, consistency):
+        # Every variable narrowed to its lower bound, checked twice without
+        # a resume between: the second check finds no fresh function.
+        checked = 0
+        for inst in suite(30, max_volume=400):
+            st = PropState(inst, mode=state_mode(consistency))
+            st.mark()
+            if resume_node(st, consistency, list(range(len(st.domains)))):
+                continue
+            before = (list(st.assigned), st.w_zero)
+            mark = st.mark()
+            for xi, d in enumerate(st.domains):
+                narrow(st, xi, d.lb, d.lb)
+            if not backward_check(st):
+                continue
+            assert all(st.assigned)
+            w_zero = st.w_zero
+            assert not backward_check(st) and st.w_zero == w_zero, inst.name
+            st.undo_to(mark)
+            assert (st.assigned, st.w_zero) == before, inst.name
+            checked += 1
+        assert checked > 5, checked
+
+    @pytest.mark.parametrize("consistency", ALL)
+    def test_a_narrow_that_empties_a_domain_resumes_to_a_wipeout(self, consistency):
+        inst = gen_random(n=4, d=5, e=5, seed=2)
+        st = PropState(inst, mode=state_mode(consistency))
+        st.mark()
+        assert not resume_node(st, consistency, list(range(len(st.domains))))
+        narrow(st, 0, 3, 2)
+        assert st.domains[0].is_empty
+        assert resume_node(st, consistency, [0])
+        assert not st.queue
 
 
 class TestBounds:
