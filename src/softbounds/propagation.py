@@ -12,9 +12,10 @@ Two families share one state object:
   value and per-value projection offsets for binary functions. Creation is
   refused above AC_VALUE_CAP values per domain.
 
-The bound cache of a variable's side is its row of per-function
-contributions, one exact integer per incident function and nothing else:
-pruning compares w_zero plus the sum of the row against the current top.
+In interval mode, the bound cache of a variable's side is its row of
+per-function contributions, one exact integer per incident function and
+nothing else (value mode reads no bound and keeps no cache): pruning
+compares w_zero plus the sum of the row against the current top.
 This is equivalent to the saturating update-and-test formulation (a
 saturated sum always fires the prune that moves the bound) and stays
 well-defined when search tightens the top mid-run.
@@ -43,6 +44,9 @@ increase by its width and one trace event, however many values it removed.
 `project_to_zero` skips the box minimization of a function whose box and
 shift are those at which its minimum was last found 0 (`zero_at`): the
 projecting engine and backward checking minimize a function once per box.
+A point, a box whose every interval holds one value, costs one lookup of
+its tuple, and the same memo, whose key then names the point and the
+shift, keeps it from being looked up again.
 
 The bound fixpoint runs in one function, `resume_bounds`; enforcement resets
 every row, queues every variable and resumes. A resume sweeps every bound only
@@ -50,7 +54,14 @@ when k - w_zero fell below its value at the last completed resume, kept in the
 trailed `fixpoint_slack`; otherwise no row outside the queue can fire.
 `backward_check`, run by the search after a bac or nc resume, projects with
 `project_to_zero`, in both modes, the functions whose scope has just become
-fully assigned (trailed `assigned` flags). A `deadline` on the state is
+fully assigned, and its work follows what changed. Its first pass scans
+every domain; after that `_slide`, through which every narrow, walk and
+value deletion moves a bound, names each variable whose bounds meet in the
+list `met`, which the next pass drains.
+Each function keeps a trailed count of its scope variables not yet flagged
+assigned; a pass flags the newly assigned variables, lowers the counts of
+their functions and projects those whose count reaches 0. bac0 and ac never
+backward-check and never start the list. A `deadline` on the state is
 checked every DEADLINE_POPS units of work (queue pops, walk steps, and values
 projected or materialized in value mode), so a time limit holds inside one
 long fixpoint, walk, projection or value-mode set-up.
@@ -137,6 +148,15 @@ def _set_member(items: set, v: int, member: bool) -> None:
         items.discard(v)
 
 
+def _unassign(st: "PropState", xi: int, _old: bool) -> None:
+    """Undo the flagging of xi as assigned: clear its flag and count it
+    again among the unassigned scope variables of each of its functions."""
+    st.assigned[xi] = False
+    unassigned = st.unassigned
+    for fi in st.incident[xi]:
+        unassigned[fi] += 1
+
+
 @dataclass
 class PropStats:
     deletions: int = 0
@@ -164,7 +184,8 @@ class PropState:
     number of changes. Every trail entry has one shape, `(write, target,
     key, old)`, and `undo_to` pops entries and calls `write(target, key,
     old)`: `setitem` for a list cell, `setattr` for an attribute (a bound,
-    `w_zero`, a shift) and `_set_member` for an interior removal.
+    `w_zero`, a shift), `_set_member` for an interior removal and
+    `_unassign` for the flagging of a variable as assigned.
 
     `trace`, a list or any object with an `append` method, receives one
     event dict per deletion or projection as it happens; the deletions of
@@ -199,10 +220,11 @@ class PropState:
         self.slot_of: List[Dict[int, int]] = [
             {fi: pos for pos, fi in enumerate(fis)} for fis in self.incident
         ]
-        self.delta_inf: List[List[int]] = [[0] * len(fis) for fis in self.incident]
-        self.delta_sup: List[List[int]] = [[0] * len(fis) for fis in self.incident]
-        # The bound caches of each side, indexed by INF and SUP.
-        self._caches = (self.delta_inf, self.delta_sup)
+        # The bound caches of each side, indexed by INF and SUP. Value mode
+        # reads no bound cache and keeps none.
+        self.delta_inf: List[List[int]] = []
+        self.delta_sup: List[List[int]] = []
+        self._caches: tuple = ()
         self.overlays = [FunctionOverlay() for _ in inst.functions]
         # Per function, the (box, shift) of its last zero minimum; see
         # `project_to_zero`.
@@ -216,8 +238,13 @@ class PropState:
         self.trace = trace
         self.deadline = deadline
         self.ticks = 0  # units of work, for the deadline
-        # Backward checking: variables already seen assigned on this branch.
+        # Backward checking: variables already seen assigned on this branch,
+        # per function the scope variables not yet seen assigned, and the
+        # variables whose bounds met since the last check (None before the
+        # first check, which scans every domain).
         self.assigned = [False] * n
+        self.unassigned = [len(fn.scope) for fn in inst.functions]
+        self.met: Optional[List[int]] = None
         # k - w_zero when the last resume completed: no untouched row reaches
         # it. The all-zero rows of a new state reach nothing below k - w_zero.
         self.fixpoint_slack = self.k - self.w_zero
@@ -227,6 +254,10 @@ class PropState:
         self.pair_proj: Optional[Dict[int, Tuple[List[int], List[int]]]] = None
         if mode == "values":
             self._materialize_values()
+        else:
+            self.delta_inf = [[0] * len(fis) for fis in self.incident]
+            self.delta_sup = [[0] * len(fis) for fis in self.incident]
+            self._caches = (self.delta_inf, self.delta_sup)
 
     def _declare_rows(self) -> None:
         """Give cost rows (see the module docstring) to the dense binary
@@ -379,11 +410,10 @@ class PropState:
         """Count of allocated state cells; domain-width independent in
         interval mode, which is the space guarantee the tests pin down."""
         cells = 2 * len(self.domains)  # bounds
-        cells += sum(len(row) for row in self.delta_inf)
-        cells += sum(len(row) for row in self.delta_sup)
+        cells += sum(len(row) for rows in self._caches for row in rows)
         cells += len(self.overlays)
         cells += len(self.in_queue)
-        cells += len(self.assigned)
+        cells += len(self.assigned) + len(self.unassigned)
         if self.unary is not None:
             cells += sum(len(a) for a in self.unary)
         if self.pair_proj is not None:
@@ -444,7 +474,8 @@ def _pinned(st: PropState, fi: int, xi: int, value: int) -> int:
 
 def _slide(st: PropState, xi: int, side: int, new: int) -> None:
     """Move the bound of xi on `side` to `new`, then on inward past interior
-    removals, which the bound absorbs."""
+    removals, which the bound absorbs. Bounds that meet name xi to the next
+    backward check, once the first check has started `met`."""
     d = st.domains[xi]
     if d.removed:
         step = -1 if side else 1
@@ -452,6 +483,8 @@ def _slide(st: PropState, xi: int, side: int, new: int) -> None:
             st._set_removed(xi, new, False)
             new += step
     st._set_attr(d, "ub" if side else "lb", new)
+    if d.lb == d.ub and st.met is not None:
+        st.met.append(xi)
 
 
 def _zero_caches(st: PropState, xi: int, side: int) -> None:
@@ -550,8 +583,10 @@ def narrow(st: PropState, xi: int, lo: int, hi: int) -> None:
     if d.removed:
         for v in [w for w in d.removed if w < lo or w > hi]:
             st._set_removed(xi, v, False)
-    _slide(st, xi, INF, lo)
-    _slide(st, xi, SUP, hi)
+    if moved & 1:
+        _slide(st, xi, INF, lo)
+    if moved & 2:
+        _slide(st, xi, SUP, hi)
     if st.mode == "interval" and moved:
         for side in _SIDES[moved]:
             _zero_caches(st, xi, side)
@@ -585,11 +620,18 @@ def project_to_zero(st: PropState, fi: int) -> bool:
     fn = st.instance.functions[fi]
     doms = st.domains
     ov = st.overlays[fi]
-    box = tuple((doms[v].lb, doms[v].ub) for v in fn.scope)
+    box = tuple([(doms[v].lb, doms[v].ub) for v in fn.scope])
     key = (box, ov.delta_shift)
     if st.zero_at[fi] == key:
         return False
-    alpha = min_over_tuple_box(fn, box, st.val.k, ov)
+    point, highs = zip(*box)
+    if point == highs:
+        ov.eval_count += 1
+        alpha = raw_cost(fn, point, st.val)
+        if ov.delta_shift:
+            alpha = unshift(alpha, ov.delta_shift, st.val.k)
+    else:
+        alpha = min_over_tuple_box(fn, box, st.val.k, ov)
     if alpha == 0:
         st.zero_at[fi] = key
         return False
@@ -703,31 +745,48 @@ def backward_check(st: PropState) -> bool:
     function order, and zero its row entries, which predate the shift. The
     search resumes after each move until nothing moves.
 
-    Variables are flagged in the trailed `assigned` list the first time a
-    pass sees them assigned, so only the functions of newly flagged
-    variables are tested; those fully assigned earlier on the branch were
-    projected then. Value mode skips the unary functions its set-up
-    absorbed. Returns whether anything moved; stops once w_zero is at k.
+    The work follows what changed. The first check scans every domain; from
+    then on `_slide` appends each variable whose bounds meet to `met`, and a
+    check drains that list. A drained variable still assigned and not yet
+    flagged in the trailed `assigned` list is flagged, and each of its
+    functions' trailed `unassigned` count falls by one; the functions whose
+    count reaches 0 are the fresh, fully assigned ones. Entries that an undo
+    left behind fail the test and are skipped. The drain installs a new
+    list through the trail, so an undo past it restores the list it drained.
+    Value mode skips the unary functions its set-up absorbed. Returns
+    whether anything moved; stops once w_zero is at k.
     """
-    skip_unary = st.mode == "values"
-    assigned = st.assigned
-    fresh = set()
-    for xi, d in enumerate(st.domains):
+    met = st.met
+    if met is None:
+        met = range(len(st.domains))
+    elif not met:
+        return False
+    st._set_attr(st, "met", [])
+    doms, assigned, unassigned = st.domains, st.assigned, st.unassigned
+    trail = st.trail
+    complete = []
+    for xi in met:
+        d = doms[xi]
         if d.lb == d.ub and not assigned[xi]:
-            st._set_cell(assigned, xi, True)
-            fresh.update(st.incident[xi])
-    moved = False
+            assigned[xi] = True
+            if trail is not None:
+                trail.append((_unassign, st, xi, False))
+            for fi in st.incident[xi]:
+                unassigned[fi] -= 1
+                if not unassigned[fi]:
+                    complete.append(fi)
+    skip_unary = st.mode == "values"
     functions = st.instance.functions
-    for fi in sorted(fresh):
+    moved = False
+    for fi in sorted(complete):
         scope = functions[fi].scope
-        if (skip_unary and len(scope) == 1) or not all(assigned[v] for v in scope):
+        if skip_unary and len(scope) == 1:
             continue
         if project_to_zero(st, fi):
             moved = True
-            for v in scope:
-                slot = st.slot_of[v][fi]
-                for delta in st._caches:
-                    st._set_cell(delta[v], slot, 0)
+            for rows in st._caches:
+                for v in scope:
+                    st._set_cell(rows[v], st.slot_of[v][fi], 0)
             if st.w_zero >= st.k:
                 break
     return moved
@@ -738,7 +797,13 @@ def _emptied(st: PropState, touched: List[int]) -> bool:
     `narrow` to a range outside it; the resume is then a wipeout. The search
     touches one variable per node, so this costs O(1) there."""
     doms = st.domains
-    return any(doms[xi].is_empty for xi in touched) or any(doms[xi].is_empty for xi in st.queue)
+    for xi in touched:
+        if doms[xi].is_empty:
+            return True
+    for xi in st.queue:
+        if doms[xi].is_empty:
+            return True
+    return False
 
 
 def resume_bounds(st: PropState, project: bool, touched: List[int]) -> bool:

@@ -30,7 +30,9 @@ from softbounds.propagation import (
     project_unary,
     prune,
     resume_bounds,
+    state_mode,
 )
+from softbounds.search import BRANCHINGS, resume_node
 
 import record_pins
 from helpers import binary_only, preservation_ok, spacer_chains, suite, value_mode_total
@@ -491,6 +493,143 @@ class TestProjectToZero:
         narrow(fresh, 0, 6, 10)
         enforce_bac_zero(fresh)
         assert resumed == (fresh.fingerprint(), repr(fresh.delta_inf), repr(fresh.delta_sup))
+
+    def test_a_point_costs_one_lookup_and_its_memo_none(self):
+        # Every function of the suite, with its scope narrowed to a random
+        # point: the projection moves the oracle's cost with one lookup, and
+        # a second call at the same point and shift moves nothing and looks
+        # nothing up.
+        rng = random.Random(7)
+        checked = 0
+        for inst in suite(20, max_volume=3000):
+            for fi, fn in enumerate(inst.functions):
+                st = PropState(inst)
+                point = {}
+                for v in fn.scope:
+                    d = st.domains[v]
+                    point[v] = rng.randint(d.lb, d.ub)
+                    narrow(st, v, point[v], point[v])
+                box = {v: (w, w) for v, w in point.items()}
+                cost = brute_min_over_box(fn, box, st.val, 0)
+                assert project_to_zero(st, fi) == (cost > 0), (inst.name, fi)
+                assert (st.w_zero, st.overlays[fi].eval_count) == (
+                    min(st.k, inst.w_zero + cost), 1
+                ), (inst.name, fi)
+                assert not project_to_zero(st, fi), (inst.name, fi)
+                assert st.overlays[fi].eval_count == 1, (inst.name, fi)
+                checked += 1
+        assert checked > 100, checked
+
+
+def singleton_root():
+    """A root whose declared domains include two singletons, with costs on
+    functions over them alone and over them and wider variables."""
+    return Instance(
+        "singleton-root",
+        ValuationStructure(12),
+        [
+            Variable(0, Domain(2, 2)),
+            Variable(1, Domain(0, 0)),
+            Variable(2, Domain(0, 3)),
+            Variable(3, Domain(-1, 2)),
+        ],
+        [
+            CostFunction(scope=(0, 1), kind=ExtTable(default=0, table={(2, 0): 2})),
+            CostFunction(scope=(0,), kind=ExtTable(default=0, table={(2,): 1})),
+            CostFunction(scope=(0, 2), kind=ExtTable(default=1, table={(2, 1): 0, (2, 3): 0})),
+            CostFunction(
+                scope=(1, 2, 3), kind=ExtTable(default=0, table={(0, 1, 2): 3, (0, 3, -1): 2})
+            ),
+            CostFunction(scope=(2, 3), kind=ExtTable(default=0, table={(0, 0): 2, (3, 2): 4})),
+        ],
+    )
+
+
+def assert_assigned_functions_projected(st, where):
+    """Every function whose whole scope is assigned has effective cost 0 at
+    its point, unless w_zero is at k; value mode keeps a unary function's
+    cost in the unary costs of its variable. Each function counts exactly
+    its scope variables not flagged assigned."""
+    for fi, fn in enumerate(st.instance.functions):
+        assert st.unassigned[fi] == sum(not st.assigned[v] for v in fn.scope), (where, fi)
+    if st.w_zero == st.k:
+        return
+    for fi, fn in enumerate(st.instance.functions):
+        doms = [st.domains[v] for v in fn.scope]
+        if any(d.lb != d.ub for d in doms):
+            continue
+        if st.mode == "values" and fn.arity == 1:
+            (x,) = fn.scope
+            cost = st.unary[x][doms[0].lb - st.base_lb[x]]
+        else:
+            box = {v: (d.lb, d.lb) for v, d in zip(fn.scope, doms)}
+            cost = brute_min_over_box(fn, box, st.val, st.overlays[fi].delta_shift)
+        assert cost == 0, (where, fi)
+
+
+class TestBackwardChecking:
+    @pytest.mark.parametrize("branching", BRANCHINGS)
+    @pytest.mark.parametrize("consistency", ("bac", "nc"))
+    def test_walks_keep_every_assigned_function_projected(self, consistency, branching):
+        # Seeded walks of search moves: narrow a random open variable as
+        # `branching` would, resume, and now and then undo to a random
+        # earlier mark. Marks are taken after consistent passes, as the
+        # search takes them, and also between a narrow and its resume, from
+        # which the walk resumes again after undoing. After every consistent
+        # pass every fully assigned function is projected; every undo
+        # restores w_zero.
+        checked = undone = 0
+        for inst in suite(30, max_volume=3000) + [singleton_root()]:
+            rng = random.Random(f"{inst.name}/{consistency}/{branching}")
+            st = PropState(inst, mode=state_mode(consistency))
+            st.mark()
+            if resume_node(st, consistency, list(range(len(st.domains)))):
+                continue
+            assert_assigned_functions_projected(st, (inst.name, "root"))
+            # (mark, w_zero there, the variables to resume after undoing to it)
+            marks = [(st.mark(), st.w_zero, [])]
+            for step in range(80):
+                where = (inst.name, step)
+                open_vars = [i for i, d in enumerate(st.domains) if d.lb < d.ub]
+                if not open_vars or rng.random() < 0.25:
+                    del marks[rng.randrange(len(marks)) + 1:]
+                    mark, w_zero, touched = marks[-1]
+                    st.undo_to(mark)
+                    assert st.w_zero == w_zero, where
+                    undone += 1
+                    if not touched:
+                        continue
+                    if resume_node(st, consistency, touched):
+                        marks.pop()
+                        mark, w_zero, touched = marks[-1]
+                        st.undo_to(mark)  # an earlier mark is never pending
+                        assert st.w_zero == w_zero and not touched, where
+                        continue
+                    assert_assigned_functions_projected(st, where)
+                    checked += 1
+                    marks.append((st.mark(), st.w_zero, []))
+                    continue
+                var = rng.choice(open_vars)
+                d = st.domains[var]
+                if branching == "enumerate":
+                    lo = hi = rng.choice(list(d.iter_values()))
+                else:
+                    mid = (d.lb + d.ub) // 2
+                    lo, hi = rng.choice(((d.lb, mid), (mid + 1, d.ub)))
+                narrow(st, var, lo, hi)
+                if rng.random() < 0.2:
+                    marks.append((st.mark(), st.w_zero, [var]))
+                if resume_node(st, consistency, [var]):
+                    if marks[-1][2]:
+                        marks.pop()
+                    mark, w_zero, _ = marks[-1]
+                    st.undo_to(mark)
+                    assert st.w_zero == w_zero, where
+                    continue
+                assert_assigned_functions_projected(st, where)
+                checked += 1
+                marks.append((st.mark(), st.w_zero, []))
+        assert checked > 300 and undone > 100, (checked, undone)
 
 
 class TestJointEnforcement:

@@ -31,3 +31,16 @@ def test_compare_consistencies_runs():
     assert lines[0].split() == ["instance", "mode", "w0", "empty", "nodes", "backtracks", "ms"]
     rows = [line.split() for line in lines[2:] if line]
     assert [row[1] for row in rows] == list(ENFORCERS)
+
+
+def test_scale_search_runs():
+    lines = _run("scale_search.py", "--n", "8", "16", "--node-limit", "50")
+    assert lines[0].split() == ["n", "mode", "status", "nodes", "solve_s", "check_share"]
+    rows = [line.split() for line in lines[2:]]
+    assert [(row[0], row[1]) for row in rows] == [
+        (n, mode) for n in ("8", "16") for mode in ("bac", "bac0", "nc")
+    ]
+    for row in rows:
+        assert int(row[3]) <= 50 and 0.0 <= float(row[5]) <= 1.0, row
+        if row[1] == "bac0":
+            assert float(row[5]) == 0.0, row
