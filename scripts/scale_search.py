@@ -5,10 +5,10 @@ For each n, builds `gen_random(n, d=8, e=2n, tightness=0.5, max_cost=3,
 seed=1)` and searches it under bac, bac0 and nc up to a node limit, then
 prints the nodes explored, the solve time and the share of that time spent
 in `search.backward_check`, timed by wrapping that name as the search calls
-it. The point to observe: backward checking touches only the variables
-whose bounds met since its last pass and their functions, so its share
-does not grow with n. bac0 projects inside its fixpoint, never
-backward-checks, and reads 0.
+it. Backward checking scans every domain for new singletons at each call,
+so its share grows with n; this table is where a change that makes it
+follow only what changed must show its gain. bac0 projects inside its
+fixpoint, never backward-checks, and reads 0.
 """
 
 import argparse

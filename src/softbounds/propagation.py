@@ -54,17 +54,14 @@ when k - w_zero fell below its value at the last completed resume, kept in the
 trailed `fixpoint_slack`; otherwise no row outside the queue can fire.
 `backward_check`, run by the search after a bac or nc resume, projects with
 `project_to_zero`, in both modes, the functions whose scope has just become
-fully assigned, and its work follows what changed. Its first pass scans
-every domain; after that `_slide`, through which every narrow, walk and
-value deletion moves a bound, names each variable whose bounds meet in the
-list `met`, which the next pass drains.
-Each function keeps a trailed count of its scope variables not yet flagged
-assigned; a pass flags the newly assigned variables, lowers the counts of
-their functions and projects those whose count reaches 0. bac0 and ac never
-backward-check and never start the list. A `deadline` on the state is
-checked every DEADLINE_POPS units of work (queue pops, walk steps, and values
-projected or materialized in value mode), so a time limit holds inside one
-long fixpoint, walk, projection or value-mode set-up.
+fully assigned (trailed `assigned` flags), each a point priced by one
+lookup. It scans every domain for new singletons, which at the sizes the
+benchmark runs costs less than keeping a list of them on every bound move
+(see `scripts/scale_search.py` for where the scan grows). A `deadline` on
+the state is checked every DEADLINE_POPS units of work (queue pops, walk
+steps, and values projected or materialized in value mode), so a time
+limit holds inside one long fixpoint, walk, projection or value-mode
+set-up.
 
 A binary table without a semi-convex tag whose declared box holds at most
 ROW_FILL_RATIO times its entries gets cost rows at the state's first
@@ -148,15 +145,6 @@ def _set_member(items: set, v: int, member: bool) -> None:
         items.discard(v)
 
 
-def _unassign(st: "PropState", xi: int, _old: bool) -> None:
-    """Undo the flagging of xi as assigned: clear its flag and count it
-    again among the unassigned scope variables of each of its functions."""
-    st.assigned[xi] = False
-    unassigned = st.unassigned
-    for fi in st.incident[xi]:
-        unassigned[fi] += 1
-
-
 @dataclass
 class PropStats:
     deletions: int = 0
@@ -184,8 +172,7 @@ class PropState:
     number of changes. Every trail entry has one shape, `(write, target,
     key, old)`, and `undo_to` pops entries and calls `write(target, key,
     old)`: `setitem` for a list cell, `setattr` for an attribute (a bound,
-    `w_zero`, a shift), `_set_member` for an interior removal and
-    `_unassign` for the flagging of a variable as assigned.
+    `w_zero`, a shift) and `_set_member` for an interior removal.
 
     `trace`, a list or any object with an `append` method, receives one
     event dict per deletion or projection as it happens; the deletions of
@@ -238,13 +225,8 @@ class PropState:
         self.trace = trace
         self.deadline = deadline
         self.ticks = 0  # units of work, for the deadline
-        # Backward checking: variables already seen assigned on this branch,
-        # per function the scope variables not yet seen assigned, and the
-        # variables whose bounds met since the last check (None before the
-        # first check, which scans every domain).
+        # Backward checking: variables already seen assigned on this branch.
         self.assigned = [False] * n
-        self.unassigned = [len(fn.scope) for fn in inst.functions]
-        self.met: Optional[List[int]] = None
         # k - w_zero when the last resume completed: no untouched row reaches
         # it. The all-zero rows of a new state reach nothing below k - w_zero.
         self.fixpoint_slack = self.k - self.w_zero
@@ -413,7 +395,7 @@ class PropState:
         cells += sum(len(row) for rows in self._caches for row in rows)
         cells += len(self.overlays)
         cells += len(self.in_queue)
-        cells += len(self.assigned) + len(self.unassigned)
+        cells += len(self.assigned)
         if self.unary is not None:
             cells += sum(len(a) for a in self.unary)
         if self.pair_proj is not None:
@@ -474,8 +456,7 @@ def _pinned(st: PropState, fi: int, xi: int, value: int) -> int:
 
 def _slide(st: PropState, xi: int, side: int, new: int) -> None:
     """Move the bound of xi on `side` to `new`, then on inward past interior
-    removals, which the bound absorbs. Bounds that meet name xi to the next
-    backward check, once the first check has started `met`."""
+    removals, which the bound absorbs."""
     d = st.domains[xi]
     if d.removed:
         step = -1 if side else 1
@@ -483,8 +464,6 @@ def _slide(st: PropState, xi: int, side: int, new: int) -> None:
             st._set_removed(xi, new, False)
             new += step
     st._set_attr(d, "ub" if side else "lb", new)
-    if d.lb == d.ub and st.met is not None:
-        st.met.append(xi)
 
 
 def _zero_caches(st: PropState, xi: int, side: int) -> None:
@@ -745,42 +724,24 @@ def backward_check(st: PropState) -> bool:
     function order, and zero its row entries, which predate the shift. The
     search resumes after each move until nothing moves.
 
-    The work follows what changed. The first check scans every domain; from
-    then on `_slide` appends each variable whose bounds meet to `met`, and a
-    check drains that list. A drained variable still assigned and not yet
-    flagged in the trailed `assigned` list is flagged, and each of its
-    functions' trailed `unassigned` count falls by one; the functions whose
-    count reaches 0 are the fresh, fully assigned ones. Entries that an undo
-    left behind fail the test and are skipped. The drain installs a new
-    list through the trail, so an undo past it restores the list it drained.
-    Value mode skips the unary functions its set-up absorbed. Returns
-    whether anything moved; stops once w_zero is at k.
+    Variables are flagged in the trailed `assigned` list the first time a
+    pass sees them assigned, so only the functions of newly flagged
+    variables are tested; those fully assigned earlier on the branch were
+    projected then. Value mode skips the unary functions its set-up
+    absorbed. Returns whether anything moved; stops once w_zero is at k.
     """
-    met = st.met
-    if met is None:
-        met = range(len(st.domains))
-    elif not met:
-        return False
-    st._set_attr(st, "met", [])
-    doms, assigned, unassigned = st.domains, st.assigned, st.unassigned
-    trail = st.trail
-    complete = []
-    for xi in met:
-        d = doms[xi]
-        if d.lb == d.ub and not assigned[xi]:
-            assigned[xi] = True
-            if trail is not None:
-                trail.append((_unassign, st, xi, False))
-            for fi in st.incident[xi]:
-                unassigned[fi] -= 1
-                if not unassigned[fi]:
-                    complete.append(fi)
     skip_unary = st.mode == "values"
-    functions = st.instance.functions
+    assigned = st.assigned
+    fresh = set()
+    for xi, d in enumerate(st.domains):
+        if d.lb == d.ub and not assigned[xi]:
+            st._set_cell(assigned, xi, True)
+            fresh.update(st.incident[xi])
     moved = False
-    for fi in sorted(complete):
+    functions = st.instance.functions
+    for fi in sorted(fresh):
         scope = functions[fi].scope
-        if skip_unary and len(scope) == 1:
+        if (skip_unary and len(scope) == 1) or not all(assigned[v] for v in scope):
             continue
         if project_to_zero(st, fi):
             moved = True
