@@ -14,6 +14,15 @@ compute its minimum over a sub-box far below full enumeration:
 * the trapezoid gap function is minimised analytically on the interval of
   reachable gaps.
 
+Every minimizer that enumerates candidate tuples (the corners, the endpoint
+probes, and every tuple of a dense table box of any arity) feeds them to
+`_probe_min`, the module's one early-exit scan: it stops at the first cost
+the shift absorbs and counts one lookup per tuple read. A sparse table box
+reads every entry inside it instead, with no early exit. Two minimizers
+reproduce the scan's stop-and-count rule without running it: the equality
+kind counts its lookups analytically, and `propagation._pinned` takes the
+minimum of one cost-row slice.
+
 A plain binary table has no structure to exploit. When it is dense (its
 declared box at most 4 times its entries), a searched interval state reads
 it through cost rows built by `ExtTable.line`: one list of raw costs per
@@ -68,18 +77,27 @@ def _corners(box: TupleBox) -> Tuple[Tuple[int, int], ...]:
 
 
 def _probe_min(
-    cost, probes: Iterable[Tuple[int, int]], k: int, shift: int, ov: FunctionOverlay
+    cost, probes: Iterable[Tuple[int, ...]], arg, shift: int, ov: FunctionOverlay
 ) -> int:
-    # Stops at the first probe whose cost is fully absorbed by the shift:
-    # nothing in the box can cost less than the shift.
-    best = None
-    for t in probes:
-        ov.eval_count += 1
-        c = cost(t, k)
-        if best is None or c < best:
-            best = c
-            if best <= shift:
-                break
+    # The one early-exit scan of this module: every minimizer that enumerates
+    # candidate tuples feeds it a probe sequence and `cost(t, arg)` prices
+    # each. It stops at the first probe whose cost is fully absorbed by the
+    # shift, since nothing in the box can cost less than the shift, and
+    # counts one lookup per probe read. `FunctionalEq.box_min` and the
+    # cost-row read of `propagation._pinned` reproduce this stop-and-count
+    # rule without running it.
+    probes = iter(probes)
+    best = cost(next(probes), arg)
+    n = 1
+    if best > shift:
+        for t in probes:
+            n += 1
+            c = cost(t, arg)
+            if c < best:
+                best = c
+                if c <= shift:
+                    break
+    ov.eval_count += n
     return best
 
 
@@ -202,14 +220,27 @@ class ExtTable:
         return self.table.get(values, self.default)
 
     def box_min(self, scope, box: TupleBox, k: int, shift: int, ov: FunctionOverlay) -> int:
+        table, default = self.table, self.default
         if self.semiconvex is not None:
-            return self._semiconvex_min(scope, box, shift, ov)
+            # Both endpoints of the tagged axis per partner value, partner
+            # value outermost, each probe in scope order.
+            axis = 0 if self.semiconvex[0] == scope[0] else 1
+            plo, phi = box[1 - axis]
+            olo, ohi = box[axis]
+            ends = (olo,) if olo == ohi else (olo, ohi)
+            partners = range(plo, phi + 1)
+            if axis:  # (partner, endpoint) is already scope order
+                probes = itertools.product(partners, ends)
+            else:
+                probes = ((o, p) for p in partners for o in ends)
+            return _probe_min(table.get, probes, default, shift, ov)
         # Iterate whichever of (box tuples, stored entries) is smaller; either
         # way the number of lookups stays within the box volume. The sparse
         # path is what keeps huge sparse unary tables affordable.
-        table, default = self.table, self.default
+        ranges = []
         vol = 1
         for lo, hi in box:
+            ranges.append(range(lo, hi + 1))
             vol *= hi - lo + 1
         if len(table) < vol:
             # Some tuple of the box is unlisted, so the default is reachable;
@@ -224,20 +255,7 @@ class ExtTable:
             inside.append(default)
             ov.eval_count += len(inside)
             return min(inside)
-        if len(box) == 2:
-            return self._binary_min(box, shift, ov)
-        get = table.get
-        best = None
-        n = 0
-        for values in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-            n += 1
-            c = get(values, default)
-            if best is None or c < best:
-                best = c
-                if best <= shift:
-                    break
-        ov.eval_count += n
-        return best
+        return _probe_min(table.get, itertools.product(*ranges), default, shift, ov)
 
     def line(self, pos: int, value: int, lo: int, hi: int) -> list:
         """The raw costs of the binary tuples whose scope position `pos`
@@ -246,41 +264,6 @@ class ExtTable:
         if pos:
             return [get((w, value), default) for w in range(lo, hi + 1)]
         return [get((value, w), default) for w in range(lo, hi + 1)]
-
-    def _binary_min(self, box, shift, ov) -> int:
-        # The dense scan of `box_min` on two ranges, looped over directly:
-        # the common case.
-        (ilo, ihi), (jlo, jhi) = box
-        get, default = self.table.get, self.default
-        width = jhi - jlo + 1
-        best = None
-        for vi in range(ilo, ihi + 1):
-            for vj in range(jlo, jhi + 1):
-                c = get((vi, vj), default)
-                if best is None or c < best:
-                    best = c
-                    if best <= shift:
-                        ov.eval_count += (vi - ilo) * width + vj - jlo + 1
-                        return best
-        ov.eval_count += (ihi - ilo + 1) * width
-        return best
-
-    def _semiconvex_min(self, scope, box, shift, ov) -> int:
-        axis = 0 if self.semiconvex[0] == scope[0] else 1
-        plo, phi = box[1 - axis]
-        olo, ohi = box[axis]
-        endpoints = (olo,) if olo == ohi else (olo, ohi)
-        table, default = self.table, self.default
-        best = None
-        for p in range(plo, phi + 1):
-            for o in endpoints:
-                ov.eval_count += 1
-                c = table.get((o, p) if axis == 0 else (p, o), default)
-                if best is None or c < best:
-                    best = c
-                    if best <= shift:
-                        return best
-        return best
 
 
 class _Binary:

@@ -201,12 +201,12 @@ class PropState:
         self.domains: List[Domain] = [v.domain.copy() for v in inst.variables]
         self.w_zero = inst.w_zero
         self.incident: List[List[int]] = [[] for _ in range(n)]
+        # Per function, its slot in each scope variable's rows, in scope order.
+        self.slots: List[Tuple[int, ...]] = []
         for fi, fn in enumerate(inst.functions):
+            self.slots.append(tuple(len(self.incident[v]) for v in fn.scope))
             for v in fn.scope:
                 self.incident[v].append(fi)
-        self.slot_of: List[Dict[int, int]] = [
-            {fi: pos for pos, fi in enumerate(fis)} for fis in self.incident
-        ]
         # The bound caches of each side, indexed by INF and SUP. Value mode
         # reads no bound cache and keeps none.
         self.delta_inf: List[List[int]] = []
@@ -648,8 +648,7 @@ def _bound_loop(st: PropState, project: bool) -> bool:
                 if st.w_zero >= st.k:
                     st._clear_queue()
                     return True
-            for xi in functions[fi].scope:
-                slot = st.slot_of[xi][fi]
+            for xi, slot in zip(functions[fi].scope, st.slots[fi]):
                 d = st.domains[xi]
                 sides = BOTH if raised or xi != xj else moved & BOTH
                 for side in _SIDES[sides]:
@@ -746,8 +745,8 @@ def backward_check(st: PropState) -> bool:
         if project_to_zero(st, fi):
             moved = True
             for rows in st._caches:
-                for v in scope:
-                    st._set_cell(rows[v], st.slot_of[v][fi], 0)
+                for v, slot in zip(scope, st.slots[fi]):
+                    st._set_cell(rows[v], slot, 0)
             if st.w_zero >= st.k:
                 break
     return moved

@@ -139,8 +139,7 @@ class _Searcher:
                 stack.pop()
                 continue
             narrow(st, var, *branch)
-            if not st.domains[var].is_empty:
-                self._visit([var], stack)
+            self._visit([var], stack)
 
     def _visit(self, touched: List[int], stack: list) -> None:
         """Enforce at a new node; a leaf may record an incumbent, and any

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from softbounds.core import CapError, ContractError, INFINITY, ValuationStructure
+from softbounds.core import CapError, ContractError, INFINITY, ValuationStructure, ominus
 from softbounds.costfn import (
     AntiFunctionalNeq,
     CostFunction,
@@ -17,6 +17,7 @@ from softbounds.costfn import (
     evaluate,
     min_over_box,
     min_over_box_pinned,
+    unshift,
     validate_semiconvex,
 )
 from softbounds.oracle import brute_min_over_box
@@ -218,6 +219,26 @@ def test_shift_never_exceeds_raw_minimum():
             continue
         raw = brute_min_over_box(fn, box, val)
         assert shift <= raw
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 9, INFINITY])
+def test_unshift_is_ominus(k):
+    # The engines' unchecked subtraction against the checked one, on every
+    # pair of costs in [0, k]; for INFINITY, on costs near both ends.
+    val = ValuationStructure(k)
+    costs = range(k + 1) if k < INFINITY else (0, 1, 2, 7, k - 2, k - 1, k)
+    refused = set()
+    for a in costs:
+        for b in costs:
+            try:
+                want = ominus(a, b, val)
+            except ContractError:
+                with pytest.raises(ContractError):
+                    unshift(a, b, k)
+                refused.add("above" if b > a else "top")
+            else:
+                assert unshift(a, b, k) == want, (a, b, k)
+    assert refused == {"top", "above"}
 
 
 class TestValidators:

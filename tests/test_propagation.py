@@ -724,7 +724,7 @@ class TestJointEnforcement:
                     fn = inst.functions[fi]
                     box = {v: (st.domains[v].lb, st.domains[v].ub) for v in fn.scope}
                     shift = st.overlays[fi].delta_shift
-                    slot = st.slot_of[xi][fi]
+                    slot = st.slots[fi][fn.scope.index(xi)]
                     pinned_box = dict(box)
                     pinned_box[xi] = (d.lb, d.lb)
                     assert st.delta_inf[xi][slot] == brute_min_over_box(

@@ -250,7 +250,8 @@ def _assert_rows_exact(st, where):
                 box = {v: (st.domains[v].lb, st.domains[v].ub) for v in fn.scope}
                 box[xi] = (d.ub, d.ub) if side else (d.lb, d.lb)
                 want = brute_min_over_box(fn, box, st.val, st.overlays[fi].delta_shift)
-                assert rows[xi][st.slot_of[xi][fi]] == want, (where, xi, side, fi)
+                slot = st.slots[fi][fn.scope.index(xi)]
+                assert rows[xi][slot] == want, (where, xi, side, fi)
 
 
 class TestStateRestoration:

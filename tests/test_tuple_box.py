@@ -144,6 +144,7 @@ def _cases(kind_name, count):
 def test_tuple_box_matches_oracle_and_public_lookups(kind_name):
     seen = {"pinned": 0, "free": 0, "shifted": 0, "infinite": 0}
     lookups = 0
+    axes = set()  # scope positions of the tagged axis of semi-convex tables
     for fn, val, box, pin, pinned_box, tbox, shift in _cases(kind_name, 60):
         engine = FunctionOverlay(delta_shift=shift)
         got = min_over_tuple_box(fn, tbox, val.k, engine)
@@ -158,7 +159,12 @@ def test_tuple_box_matches_oracle_and_public_lookups(kind_name):
         seen["pinned" if pin else "free"] += 1
         seen["shifted"] += shift > 0
         seen["infinite"] += val.k == INFINITY
+        if kind_name == "semiconvex":
+            axes.add(fn.scope.index(fn.kind.semiconvex[0]))
     assert all(seen.values()), seen
+    if kind_name == "semiconvex":
+        # Both probe orders run, so the lookup total pins each of them.
+        assert axes == {0, 1}, axes
     assert lookups == LOOKUP_TOTALS[kind_name]
 
 
