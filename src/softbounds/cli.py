@@ -21,12 +21,6 @@ from typing import Dict, List, Optional
 from .core import CapError, SolverError
 from .fileformat import emit, parse_path
 from .generators import GENERATORS
-from .oracle import (
-    OracleBudget,
-    brute_optimum,
-    naive_bac_fixpoint,
-    naive_bac_zero_fixpoint,
-)
 from .propagation import (
     ENFORCERS,
     ConsistencyReport,
@@ -35,7 +29,6 @@ from .propagation import (
     enforce_bac_zero,
     state_mode,
 )
-from .reify import compare_strength, reify
 from .search import BRANCHINGS, VAR_ORDERS, SearchOptions, solve as search_solve
 
 
@@ -123,8 +116,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # The oracle and reify modules load only for the commands that run them.
+    from .oracle import (
+        OracleBudget,
+        brute_optimum,
+        naive_bac_fixpoint,
+        naive_bac_zero_fixpoint,
+    )
+
     inst = parse_path(args.file)
-    budget = OracleBudget(max_tuples=args.budget)
+    # An unset budget takes the oracle's own default.
+    budget = OracleBudget() if args.budget is None else OracleBudget(max_tuples=args.budget)
     opt = brute_optimum(inst, budget)
     naive_b = naive_bac_fixpoint(inst, budget)
     naive_bz_domains, naive_bz_w0, naive_bz_shifts = naive_bac_zero_fixpoint(inst, budget)
@@ -164,6 +166,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reify(args) -> int:
+    from .reify import compare_strength, reify
+
     inst = parse_path(args.file)
     net = reify(inst)
     out: Dict = {
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check engines against brute force")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=OracleBudget().max_tuples)
+    p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -294,7 +294,12 @@ class _Binary:
 
 @dataclass(frozen=True)
 class _Map(_Binary):
-    """The kinds that single out the partner v_j == p*v_i + q."""
+    """The kinds that single out the partner v_j == p*v_i + q.
+
+    They add no field, so they inherit the dataclass methods generated here
+    (`__init__`, type-strict `__eq__`, `__hash__`, `__repr__`, the frozen
+    `__setattr__`) instead of generating their own at every import.
+    """
 
     alpha: int
     p: int = 1
@@ -305,7 +310,6 @@ class _Map(_Binary):
             raise ContractError(f"alpha {self.alpha} outside [1, {val.k}]")
 
 
-@dataclass(frozen=True)
 class FunctionalEq(_Map):
     """Cost 0 iff v_j == p*v_i + q, else alpha."""
 
@@ -336,7 +340,6 @@ class FunctionalEq(_Map):
         return self.alpha
 
 
-@dataclass(frozen=True)
 class AntiFunctionalNeq(_Map):
     """Cost alpha iff v_j == p*v_i + q, else 0."""
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import CapError, ValuationStructure
+from .core import CapError, ContractError, ValuationStructure
 from .costfn import (
     AntiFunctionalNeq,
     CostFunction,
@@ -28,7 +28,14 @@ from .network import Instance
 
 @dataclass(frozen=True)
 class OracleBudget:
+    """The most tuples one enumeration may visit; a larger one is refused
+    with `CapError`."""
+
     max_tuples: int = 10_000_000
+
+    def __post_init__(self) -> None:
+        if self.max_tuples < 0:
+            raise ContractError(f"budget must be at least 0 tuples, got {self.max_tuples}")
 
 
 def _cost(fn: CostFunction, values: Tuple[int, ...], k: int) -> int:

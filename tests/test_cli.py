@@ -1,3 +1,4 @@
+import functools
 import importlib
 import inspect
 import json
@@ -6,10 +7,13 @@ import sys
 
 import pytest
 
+from softbounds import oracle
 from softbounds.cli import build_parser, main
+from softbounds.core import CapError, Domain, ValuationStructure, Variable
 from softbounds.fileformat import emit
 from softbounds.generators import GENERATORS, gen_random, gen_spacerchain
-from softbounds.oracle import OracleBudget
+from softbounds.network import Instance
+from softbounds.oracle import OracleBudget, brute_optimum
 
 
 @pytest.fixture
@@ -232,14 +236,42 @@ class TestVerify:
         assert rep["optimum"] is None
         assert rep["bac_agree"] and rep["bac0_agree"] and rep["solve_agree"]
 
-    def test_budget_defaults_to_the_oracle_budget(self):
-        args = build_parser().parse_args(["verify", "x.wcsp"])
-        assert args.budget == OracleBudget().max_tuples
+    def test_budget_defaults_to_the_oracle_budget(self, capsys, monkeypatch, tmp_path):
+        # The parser leaves --budget unset, and verify then refuses and
+        # accepts exactly where `OracleBudget()` does.
+        assert build_parser().parse_args(["verify", "x.wcsp"]).budget is None
+        path = tmp_path / "line.wcsp"
+
+        def line(width):
+            return Instance("line", ValuationStructure(9), [Variable(0, Domain(1, width))], [])
+
+        def verify(width):
+            path.write_text(emit(line(width)))
+            code = main(["verify", str(path)])
+            return code, capsys.readouterr().err
+
+        # Just past the library's default, which is too large to accept here.
+        default = OracleBudget().max_tuples
+        with pytest.raises(CapError) as refused:
+            brute_optimum(line(default + 1), OracleBudget())
+        assert verify(default + 1) == (3, f"refused: {refused.value}\n")
+        # On both sides of a smaller library default.
+        monkeypatch.setattr(oracle, "OracleBudget", functools.partial(OracleBudget, max_tuples=5))
+        assert verify(5) == (0, "")
+        assert verify(6) == (3, "refused: optimum enumeration needs more than 5 tuples; refusing\n")
 
     def test_budget_refusal(self, capsys, tmp_path):
         path = tmp_path / "wide.wcsp"
         path.write_text(emit(gen_spacerchain(m=3, L=10**5, seed=1)))
         assert main(["verify", str(path), "--budget", "1000"]) == 3
+
+    def test_negative_budget_is_bad_input_and_zero_refuses(self, capsys, sum_file):
+        assert main(["verify", sum_file, "--budget=-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: budget must be at least 0 tuples, got -1\n"
+        assert main(["verify", sum_file, "--budget", "0"]) == 3
+        assert capsys.readouterr().err.startswith("refused: ")
 
 
 class TestReify:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -333,3 +334,18 @@ def test_key_pool_opens_at_the_second_table():
         assert all(held[key] is key for key in table)
     # The pool holds only keys some table holds.
     assert set(pool._keys) == set(first) | set(second) | set(third)
+
+
+@pytest.mark.parametrize("cls, other", [(FunctionalEq, AntiFunctionalNeq), (AntiFunctionalNeq, FunctionalEq)])
+def test_map_kinds_keep_their_dataclass_behaviour(cls, other):
+    # Both map kinds take every dataclass method from `_Map`.
+    kind = cls(3, 2, -1)
+    assert [f.name for f in fields(kind)] == ["alpha", "p", "q"]
+    assert (kind.alpha, kind.p, kind.q) == (3, 2, -1)
+    assert cls(3) == cls(3, 1, 0) and hash(cls(3)) == hash(cls(3, 1, 0))
+    assert cls(3) != cls(4) and cls(3) != other(3)
+    moved = replace(kind, q=5)
+    assert type(moved) is cls and moved == cls(3, 2, 5)
+    assert repr(kind) == f"{cls.__name__}(alpha=3, p=2, q=-1)"
+    with pytest.raises(FrozenInstanceError):
+        kind.alpha = 4

@@ -1,6 +1,6 @@
 import pytest
 
-from softbounds.core import CapError, Domain, ValuationStructure, Variable
+from softbounds.core import CapError, ContractError, Domain, ValuationStructure, Variable
 from softbounds.costfn import CostFunction, Spacer
 from softbounds.network import Instance, total_cost
 from softbounds.oracle import (
@@ -80,6 +80,13 @@ def test_budget_refusal():
     )
     with pytest.raises(CapError):
         brute_optimum(inst, OracleBudget(max_tuples=1000))
+
+
+def test_negative_budget_is_rejected_and_zero_refuses(inst_linplus_sum):
+    with pytest.raises(ContractError, match="budget must be at least 0 tuples, got -1"):
+        OracleBudget(max_tuples=-1)
+    with pytest.raises(CapError):
+        brute_optimum(inst_linplus_sum, OracleBudget(max_tuples=0))
 
 
 def test_purity(inst_pair_tables):

@@ -44,3 +44,14 @@ def test_scale_search_runs():
         assert int(row[3]) <= 50 and 0.0 <= float(row[5]) <= 1.0, row
         if row[1] == "bac0":
             assert float(row[5]) == 0.0, row
+
+
+def test_cli_startup_runs():
+    lines = _run("cli_startup.py", "--runs", "1")
+    assert lines[0].split() == ["command", "median_ms", "modules"]
+    rows = {row[0]: row for row in (line.split() for line in lines[2:])}
+    assert list(rows) == ["propagate", "solve", "gen", "verify", "reify"]
+    for name, row in rows.items():
+        assert float(row[1]) > 0 and "cli" in row[2:], row
+        assert ("oracle" in row[2:]) == (name == "verify"), row
+        assert ("reify" in row[2:]) == (name == "reify"), row
