@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Compare the consistencies on seeded random instances.
 
-For each instance, runs one propagation pass per consistency and a full
-branch-and-bound search, then prints a small table of lower bounds, node
-counts and backtracks. The point to observe: the per-value engine and the
-joint interval engine reach the same lower bound here, while plain bound
-filtering never lifts it; search nodes shrink as the consistency gets
-stronger.
+For each instance and each consistency, enforces it once from the root and
+runs a full branch-and-bound search, then prints one table row: the root's
+lower bound `w0` and wipeout flag, the search's nodes and backtracks, and
+the milliseconds of both. At the default seeds 0-4 every consistency
+reports `w0` 0 at the root, so the table compares search effort alone. nc
+takes the most nodes on every seed and bac and bac0 take the same; ac takes
+fewer nodes than bac and bac0 on seeds 0, 3 and 4, but more on seeds 1 and
+2 (49 against 39, 43 against 41).
 """
 
 import argparse

@@ -88,9 +88,10 @@ class Domain:
     interval engines prune bounds exclusively, so `removed` stays None there.
     Both bounds are always live values: code that deletes a bound must slide
     it inward past removed values. A domain is empty when lb > ub, whatever
-    the two bounds are: interval enforcement leaves every domain of a
-    wipeout at (0, -1), but a value-mode wipeout or a `narrow` to a range
-    outside the domain leaves bounds such as (5, 4) or (7, 4).
+    the two bounds are: enforcement leaves every domain of a wipeout at
+    (0, -1) in both modes, but a value-mode resume that wipes out, as in
+    search, or a `narrow` to a range outside the domain leaves bounds such
+    as (5, 4) or (7, 4).
     """
 
     lb: int

@@ -48,10 +48,14 @@ A point, a box whose every interval holds one value, costs one lookup of
 its tuple, and the same memo, whose key then names the point and the
 shift, keeps it from being looked up again.
 
-The bound fixpoint runs in one function, `resume_bounds`; enforcement resets
-every row, queues every variable and resumes. A resume sweeps every bound only
-when k - w_zero fell below its value at the last completed resume, kept in the
-trailed `fixpoint_slack`; otherwise no row outside the queue can fire.
+Each mode's fixpoint runs in one function, `resume_bounds` or
+`resume_values`. Enforcing any of the four consistencies (`CONSISTENCIES`
+declares each one's mode and whether its fixpoint projects) is that resume
+from the root: the queue is cleared and every variable touched, so every
+variable is queued and, in interval mode, its rows reset. A resume sweeps
+every bound only when k - w_zero fell below its value at the last completed
+resume, kept in the trailed `fixpoint_slack`; otherwise no row outside the
+queue can fire.
 `backward_check`, run by the search after a bac or nc resume, projects with
 `project_to_zero`, in both modes, the functions whose scope has just become
 fully assigned (trailed `assigned` flags), each a point priced by one
@@ -84,10 +88,13 @@ NC* holds and no further round is needed. `resume_values` keeps the same
 `fixpoint_slack` as `resume_bounds`: it projects and prunes only the
 touched variables, and prunes every variable only when the slack fell.
 
-On a wipeout the interval engines normalize the state to the closure of an
-inconsistent network: every domain empty, and for the projecting engine the
-constant term and every shift saturated. This is what makes the enforcement
-outcome independent of the queue schedule even on inconsistent inputs.
+On a wipeout every enforcement normalizes the state to the closure of an
+inconsistent network: every domain empty at (0, -1) with no interior
+removal, and under bac0 the constant term and every shift saturated (nc and
+ac keep their w_zero, which a wipeout from a non-empty state holds at k).
+This makes a wipeout's outcome independent of the queue schedule in both
+modes. A consistent AC* closure is not unique (Cooper & Schiex, AIJ 2004):
+its w_zero and domains may follow the schedule, while nc's do not.
 """
 
 from __future__ import annotations
@@ -125,6 +132,12 @@ _SIDES = ((), (INF,), (SUP,), (INF, SUP))
 # Rows are kept for a binary table whose declared box holds at most this
 # many times its entries (see `PropState._declare_rows`).
 ROW_FILL_RATIO = 4
+
+# Each consistency's state mode and whether its fixpoint projects: ac per
+# value onto unary costs and w_zero, bac0 whole functions onto w_zero. The
+# search follows nc and bac resumes with backward checking instead.
+CONSISTENCIES = {"nc": ("values", False), "ac": ("values", True),
+                 "bac": ("interval", False), "bac0": ("interval", True)}
 
 # A state's deadline is compared with the clock once every this many units
 # of work: queue pops, the steps of a walking prune, and in value mode the
@@ -356,10 +369,6 @@ class PropState:
         self.in_queue[xi] = 0
         return xi, events
 
-    def _queue_all(self) -> None:
-        for xi in range(len(self.domains)):
-            self._push(xi)
-
     def _clear_queue(self) -> None:
         while self.queue:
             self.in_queue[self.queue.popleft()] = 0
@@ -377,9 +386,6 @@ class PropState:
             raise LimitReached
 
     # -- observation helpers ------------------------------------------------
-
-    def any_empty(self) -> bool:
-        return any(d.is_empty for d in self.domains)
 
     def fingerprint(self) -> tuple:
         doms = tuple(
@@ -663,60 +669,6 @@ def _bound_loop(st: PropState, project: bool) -> bool:
     return False
 
 
-def _normalize_wipeout(st: PropState, project: bool) -> None:
-    # The closure of an inconsistent network: all domains empty, and with
-    # projection everything saturated. Keeps the outcome schedule-free.
-    # Interval state has no interior removals to clear.
-    for d in st.domains:
-        st._set_attr(d, "lb", 0)
-        st._set_attr(d, "ub", -1)
-    if project:
-        st._set_attr(st, "w_zero", st.k)
-        for ov in st.overlays:
-            st._set_attr(ov, "delta_shift", st.val.k)
-    st._clear_queue()
-
-
-def _report(st: PropState, empty: bool) -> ConsistencyReport:
-    return ConsistencyReport(
-        empty=empty,
-        w_zero=st.w_zero,
-        domains=[d.copy() for d in st.domains],
-        deletions=st.stats.deletions,
-        projections=st.stats.projections,
-        queue_pops=st.stats.queue_pops,
-        eval_counts=[ov.eval_count for ov in st.overlays],
-    )
-
-
-def _enforce_bounds(st: PropState, project: bool) -> ConsistencyReport:
-    """Enforcement is a resume from the root: every row is reset and every
-    variable queued on both sides, so it is sound even on a state that a
-    deadline left in the middle of a pop."""
-    st._require_interval()
-    if st.any_empty():
-        return _report(st, True)
-    for xi in range(len(st.domains)):
-        _zero_caches(st, xi, INF)
-        _zero_caches(st, xi, SUP)
-    st._queue_all()
-    empty = resume_bounds(st, project, ())
-    if empty:
-        _normalize_wipeout(st, project)
-    return _report(st, empty)
-
-
-def enforce_bac(st: PropState) -> ConsistencyReport:
-    """Bound filtering alone: deletes bound values whose combined pinned
-    minima reach the top. Never moves cost to the constant term."""
-    return _enforce_bounds(st, project=False)
-
-
-def enforce_bac_zero(st: PropState) -> ConsistencyReport:
-    """Joint fixpoint of bound filtering and whole-function projection."""
-    return _enforce_bounds(st, project=True)
-
-
 def backward_check(st: PropState) -> bool:
     """Backward checking: move the cost of every function whose scope has
     just become fully assigned onto w_zero with `project_to_zero`, in
@@ -770,9 +722,9 @@ def resume_bounds(st: PropState, project: bool, touched: List[int]) -> bool:
     """Re-establish the bound fixpoint once after search narrowed some
     domains, or after backward checking raised w_zero.
 
-    `narrow` queues what it changed. Touched variables it did not queue must
-    have had their caches reset and are revised on both sides. Caches of
-    untouched variables are still valid lower bounds (boxes only shrank),
+    `narrow` queues what it changed. Touched variables it did not queue get
+    their rows reset and are revised on both sides. Caches of untouched
+    variables are still valid lower bounds (boxes only shrank),
     and none of them fired at the last completed fixpoint, against a slack
     k - w_zero kept in the trailed `fixpoint_slack`; so the prune sweep over
     every bound runs only when the slack has fallen below that value, as
@@ -783,6 +735,8 @@ def resume_bounds(st: PropState, project: bool, touched: List[int]) -> bool:
     st._require_interval()
     for xi in touched:
         if not st.in_queue[xi]:
+            _zero_caches(st, xi, INF)
+            _zero_caches(st, xi, SUP)
             st._push(xi)
     slack = st.k - st.w_zero
     # A slack at or below 0 is a wipeout even over variables no function touches.
@@ -885,14 +839,6 @@ def _nc_fixpoint(st: PropState, touched: List[int]) -> bool:
     return st.w_zero >= st.k
 
 
-def enforce_nc(st: PropState) -> ConsistencyReport:
-    """Every live value tolerable, every variable with a zero-cost value."""
-    st._require_values()
-    if st.any_empty():
-        return _report(st, True)
-    return _report(st, _nc_fixpoint(st, list(range(len(st.domains)))))
-
-
 def _project_pairs(st: PropState, fi: int, xo: int) -> None:
     """For each live value of xo, move the least effective cost of binary
     function fi over the pairs through that value onto its unary cost. The
@@ -979,21 +925,6 @@ def require_binary_scopes(inst: Instance, action: str) -> None:
         raise ContractError(f"{action} unary and binary functions only")
 
 
-def enforce_ac_star(st: PropState) -> ConsistencyReport:
-    """Per-value arc + node consistency, the small-domain reference mode.
-
-    Handles unary (absorbed at materialization) and binary functions only.
-    """
-    st._require_values()
-    require_binary_scopes(st.instance, "per-value arc enforcement is defined for")
-    if st.any_empty():
-        return _report(st, True)
-    if _nc_fixpoint(st, list(range(len(st.domains)))):
-        return _report(st, True)
-    st._queue_all()
-    return _report(st, _ac_loop(st))
-
-
 def resume_values(st: PropState, arc: bool, touched: List[int]) -> bool:
     """Re-establish NC (and arc consistency when `arc`) once after
     narrowing, or after backward checking raised w_zero.
@@ -1016,6 +947,70 @@ def resume_values(st: PropState, arc: bool, touched: List[int]) -> bool:
     return False
 
 
+# ----------------------------------------------------------------------
+# Enforcement
+# ----------------------------------------------------------------------
+
+
+def _normalize_wipeout(st: PropState, project: bool) -> None:
+    # The closure of an inconsistent network: every domain empty at (0, -1)
+    # with no interior removal, and under bac0 the constant term and every
+    # shift saturated. Keeps the outcome schedule-free.
+    for xi, d in enumerate(st.domains):
+        for v in list(d.removed or ()):
+            st._set_removed(xi, v, False)
+        st._set_attr(d, "lb", 0)
+        st._set_attr(d, "ub", -1)
+    if project and st.mode == "interval":
+        st._set_attr(st, "w_zero", st.k)
+        for ov in st.overlays:
+            st._set_attr(ov, "delta_shift", st.val.k)
+
+
+def _enforce(st: PropState, resume, project: bool) -> ConsistencyReport:
+    """Enforcement is the mode's resume from the root, every variable
+    touched. The queue is cleared first, so the resume queues, and in
+    interval mode resets the rows of, every variable: this is sound even on
+    a state that a deadline left in the middle of a pop, whose rows may sit
+    above their minima after a shift rise. A wipeout is normalized."""
+    st._clear_queue()
+    empty = resume(st, project, list(range(len(st.domains))))
+    if empty:
+        _normalize_wipeout(st, project)
+    return ConsistencyReport(
+        empty=empty,
+        w_zero=st.w_zero,
+        domains=[d.copy() for d in st.domains],
+        deletions=st.stats.deletions,
+        projections=st.stats.projections,
+        queue_pops=st.stats.queue_pops,
+        eval_counts=[ov.eval_count for ov in st.overlays],
+    )
+
+
+def enforce_nc(st: PropState) -> ConsistencyReport:
+    """Every live value tolerable, every variable with a zero-cost value."""
+    return _enforce(st, resume_values, False)
+
+
+def enforce_ac_star(st: PropState) -> ConsistencyReport:
+    """Per-value arc + node consistency, the small-domain reference mode,
+    over unary (absorbed at materialization) and binary functions only."""
+    require_binary_scopes(st.instance, "per-value arc enforcement is defined for")
+    return _enforce(st, resume_values, True)
+
+
+def enforce_bac(st: PropState) -> ConsistencyReport:
+    """Bound filtering alone: deletes bound values whose combined pinned
+    minima reach the top. Never moves cost to the constant term."""
+    return _enforce(st, resume_bounds, False)
+
+
+def enforce_bac_zero(st: PropState) -> ConsistencyReport:
+    """Joint fixpoint of bound filtering and whole-function projection."""
+    return _enforce(st, resume_bounds, True)
+
+
 # The enforcer of each consistency by name: the CLI's choices and the names
 # `search.solve` accepts.
 ENFORCERS = {"nc": enforce_nc, "ac": enforce_ac_star, "bac": enforce_bac, "bac0": enforce_bac_zero}
@@ -1023,4 +1018,4 @@ ENFORCERS = {"nc": enforce_nc, "ac": enforce_ac_star, "bac": enforce_bac, "bac0"
 
 def state_mode(consistency: str) -> str:
     """The `PropState` mode that a consistency runs on."""
-    return "values" if consistency in ("nc", "ac") else "interval"
+    return CONSISTENCIES[consistency][0]

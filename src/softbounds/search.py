@@ -23,6 +23,7 @@ from .costfn import raw_cost  # noqa: F401
 from .network import Instance, total_cost
 from .propagation import (
     AC_VALUE_CAP,
+    CONSISTENCIES,
     ENFORCERS,
     LimitReached,
     PropState,
@@ -80,12 +81,11 @@ def resume_node(st: PropState, consistency: str, touched: List[int]) -> bool:
     returns True on wipeout. Under bac and nc, whose fixpoints do not
     project assigned functions themselves, backward checking follows, and
     each move is resumed with nothing touched until nothing moves."""
-    project = consistency in ("bac0", "ac")
+    mode, project = CONSISTENCIES[consistency]
+    # This module's names, which perfbench/tracer.py patches to time resumes.
+    resume = resume_bounds if mode == "interval" else resume_values
     while True:
-        if st.mode == "interval":
-            empty = resume_bounds(st, project=project, touched=touched)
-        else:
-            empty = resume_values(st, arc=project, touched=touched)
+        empty = resume(st, project, touched)
         if empty or project or not backward_check(st):
             return empty
         touched = []

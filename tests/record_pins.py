@@ -5,10 +5,11 @@ pop schedule (enforce rows) or the branching and variable order (search
 rows). The rest are the measured fields, which `measure` computes and the
 tests compare:
 
-* "enforce" and "search" (bac, bac0): every field exactly, except the last,
-  a ceiling on lookups that the engine may only stay under.
-* "enforce_values" and "search_values" (nc, ac): every field exactly,
-  lookups included.
+* "enforce" and "search" (the interval-mode consistencies, bac and bac0,
+  as `propagation.CONSISTENCIES` declares them): every field exactly,
+  except the last, a ceiling on lookups that the engine may only stay under.
+* "enforce_values" and "search_values" (the value-mode ones, nc and ac):
+  every field exactly, lookups included.
 
 Run as a script, it measures every row with the current engines, prints
 every row that changed with the fields that moved and each section's lookup

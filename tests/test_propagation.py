@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from math import prod
@@ -59,6 +60,24 @@ def assert_nc_star(st, where):
     before = (st.fingerprint(), vars(st.stats).copy())
     assert not propagation._nc_fixpoint(st, list(range(len(st.domains)))), where
     assert (st.fingerprint(), vars(st.stats)) == before, where
+
+
+def stale_row_instance():
+    """Under bac0, the first pop walks x0's lower bound to 1 and queues x0.
+    x1's pop then raises the shift of f by 3 and walks x1's lower bound
+    before it recomputes x0's entries. During that walk, x0 is queued and
+    its lower row holds f's entry from before the shift, 6. With u's 1 it
+    reaches the new top, 10 - 3, although from x0 = 1 the two cost 3 + 1."""
+    f = {(0, 1): 10, (0, 2): 10, (1, 1): 6, (1, 2): 3, (2, 1): 6, (2, 2): 3}
+    return Instance(
+        "stale-row",
+        ValuationStructure(10),
+        [Variable(0, Domain(0, 2)), Variable(1, Domain(0, 2))],
+        [
+            CostFunction(scope=(1, 0), kind=ExtTable(default=0, table=f)),
+            CostFunction(scope=(0,), kind=ExtTable(default=0, table={(0,): 10, (1,): 1})),
+        ],
+    )
 
 
 def one_variable():
@@ -790,6 +809,35 @@ class TestConfluence:
                     base_joint = key
                 assert key == base_joint, (inst.name, schedule)
 
+    def test_arc_wipeouts_agree_across_schedules(self):
+        # AC* closures of a consistent network may differ between schedules,
+        # but a wipeout has one: every domain empty, w_zero at the top.
+        wipeouts = 0
+        for inst in suite(80, max_volume=3000):
+            if not binary_only(inst):
+                continue
+            keys = set()
+            for schedule in range(8):
+                rng = random.Random(schedule * 31 + 7) if schedule else None
+                rep = enforce_ac_star(PropState(inst, mode="values", pop_rng=rng))
+                keys.add((rep.empty, tuple(intervals(rep)), rep.w_zero))
+            if any(empty for empty, _, _ in keys):
+                wipeouts += 1
+                assert len(keys) == 1, inst.name
+        assert wipeouts == 14
+
+    def test_a_constant_term_at_the_top_reports_alike_under_every_consistency(
+        self, capsys, tmp_path
+    ):
+        from softbounds.cli import main
+
+        path = tmp_path / "w0k.wcsp"
+        path.write_text("wcsp w0k\nk 5\nw0 5\nvar 0 0 3\nvar 1 0 2\nfun linplus 0 1 1 1 0\n")
+        for consistency in propagation.ENFORCERS:
+            code = main(["propagate", str(path), "--consistency", consistency, "--json"])
+            rep = json.loads(capsys.readouterr().out)
+            assert (code, rep["domains"], rep["deletions"]) == (1, [None, None], 0), consistency
+
 
 class TestRecordedCounters:
     def test_bound_enforcement_counters(self):
@@ -867,6 +915,35 @@ class TestDeadline:
         st = PropState(inst_linplus_sum, mode=mode)
         st.deadline = time.perf_counter() + 3600
         assert enforce(st) == enforce(PropState(inst_linplus_sum, mode=mode))
+
+    def test_enforcing_a_stopped_state_again_reaches_the_fresh_outcome(self, monkeypatch):
+        # A passed deadline stops the enforcement at its p-th unit of work,
+        # for every p up to 39, and a second enforcement without a deadline
+        # must report what a fresh state reports. In the stale-row instance
+        # the stop at p = 4 leaves a row above its minimum after a shift
+        # rise, which enforcement must reset whether or not it is queued.
+        engines = [(enforce_bac, "interval"), (enforce_bac_zero, "interval"),
+                   (enforce_ac_star, "values")]
+        stopped = 0
+        for inst in [stale_row_instance()] + suite(30, max_volume=3000):
+            for enforce, mode in engines:
+                if mode == "values" and not binary_only(inst):
+                    continue
+                fresh = PropState(inst, mode=mode)
+                want = (enforce(fresh).empty, fresh.fingerprint())
+                for pops in range(1, 40):
+                    monkeypatch.setattr(propagation, "DEADLINE_POPS", pops)
+                    st = PropState(inst, mode=mode)
+                    st.deadline = time.perf_counter() - 1
+                    try:
+                        enforce(st)
+                        break  # every later p stops no earlier
+                    except LimitReached:
+                        stopped += 1
+                    st.deadline = None
+                    got = (enforce(st).empty, st.fingerprint())
+                    assert got == want, (inst.name, enforce.__name__, pops)
+        assert stopped > 900
 
 
 class TestSpaceDiscipline:
