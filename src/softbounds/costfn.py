@@ -109,10 +109,10 @@ def _corner_min(self, scope, box: TupleBox, k: int, shift: int, ov: FunctionOver
 class KeyPool:
     """One tuple object per distinct key across the tables of one instance.
 
-    Code that builds an instance registers each table with `start` before
-    filling it, and stores each key of a table after the first as
-    `keys.setdefault(key, key)`: the equal tuple an earlier table holds, or
-    `key`, now pooled; `share` does both for a table already filled.
+    The parser registers each table with `start` before filling it, and
+    stores each key of a table after the first as `keys.setdefault(key,
+    key)`: the equal tuple an earlier table holds, or `key`, now pooled;
+    `share`, which `gen_satellite` calls, does both for a filled table.
     The pool opens at the second table, seeded from the first table's keys,
     so a lone table pays nothing and the pool holds no key that no table
     holds. Drop it once the instance is built.
@@ -208,9 +208,9 @@ class ExtTable:
         table = self.table
         ids = " ".join(str(v) for v in scope)
         out = [f"fun ext {len(scope)} {ids} {self.default} {len(table)}"]
-        for values in sorted(table):
-            vals = " ".join(str(w) for w in values)
-            out.append(f"{vals} {table[values]}")
+        # One format call per body line: the tuple's values, then its cost.
+        line = " ".join(["{}"] * (len(scope) + 1)).format
+        out += [line(*values, table[values]) for values in sorted(table)]
         if self.semiconvex is not None:
             wrt, order = self.semiconvex
             out.append(f"tag semiconvex {wrt} {order}")

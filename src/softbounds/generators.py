@@ -3,10 +3,10 @@
 All three shapes are seeded and reproducible byte-for-byte through emit().
 Each builds only what `Instance`'s checks accept (dense ids, non-empty
 intervals, in-range tuples and costs), so it skips those checks;
-tests/test_generators.py runs them on every shape. The pair tables of
-`gen_random` and `gen_satellite` draw their keys from small grids, so each
-distinct key is one tuple shared by every table that lists it
-(`costfn.KeyPool`).
+tests/test_generators.py runs them on every shape. Each distinct pair-table
+key is one tuple shared by every table that lists it: `gen_random` fills
+every table from one grid of key tuples, and `gen_satellite`, whose tables
+cover different windows, pools its keys (`costfn.KeyPool`).
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ def gen_random(
     k: int = 10,
     seed: int = 0,
 ) -> Instance:
-    """n variables over [0, d-1] and e sparse binary tables.
+    """n variables over [0, d-1] and e binary tables with default cost 0.
 
-    `tightness` is the fraction of tuples given a nonzero cost drawn from
-    [1, max_cost] (clamped to k, so max_cost >= k produces hard tuples).
+    Each lists about a `tightness` share of the d*d value pairs, at costs
+    drawn from [1, max_cost] and clamped to k (so max_cost >= k produces
+    hard tuples); every table's keys come from one grid, built when e > 0.
     """
     if n < 2 or d < 1 or e < 0:
         raise ContractError("gen random needs n >= 2, d >= 1, e >= 0")
@@ -42,17 +43,16 @@ def gen_random(
     rng = random.Random(seed)
     variables = [Variable(i, Domain(0, d - 1)) for i in range(n)]
     functions = []
-    pool = KeyPool()
+    keys = [(vi, vj) for vi in range(d) for vj in range(d)] if e else []
+    rand, below = rng.random, rng.randrange
     for _ in range(e):
         i, j = rng.sample(range(n), 2)
         if i > j:
             i, j = j, i
-        table = {}
-        for vi in range(d):
-            for vj in range(d):
-                if rng.random() < tightness:
-                    table[(vi, vj)] = min(k, rng.randint(1, max_cost))
-        table = pool.share(table)
+        # Each draw is `randint(1, max_cost)`'s; only max_cost > k needs a clamp pass.
+        table = {key: 1 + below(max_cost) for key in keys if rand() < tightness}
+        if max_cost > k:
+            table = {key: min(k, c) for key, c in table.items()}
         functions.append(CostFunction(scope=(i, j), kind=ExtTable(default=0, table=table)))
     return Instance(
         name=f"random-n{n}-d{d}-e{e}-s{seed}",

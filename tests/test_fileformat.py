@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import fields
 
@@ -436,3 +437,60 @@ def test_non_table_kinds_round_trip(inst):
         if isinstance(kind, (FunctionalEq, AntiFunctionalNeq)) and (kind.p, kind.q) == (1, 0):
             want = want[:-2]
         assert line.split() == want
+
+
+# -- text of the table kind against the per-line formula it replaced ---------
+
+
+def _ext_text_per_line(kind: ExtTable, scope) -> str:
+    """`ExtTable.text` as it was written before its body lines were built
+    with one format per arity: a generator and a join per line."""
+    table = kind.table
+    ids = " ".join(str(v) for v in scope)
+    out = [f"fun ext {len(scope)} {ids} {kind.default} {len(table)}"]
+    for values in sorted(table):
+        vals = " ".join(str(w) for w in values)
+        out.append(f"{vals} {table[values]}")
+    if kind.semiconvex is not None:
+        wrt, order = kind.semiconvex
+        out.append(f"tag semiconvex {wrt} {order}")
+    return "\n".join(out)
+
+
+# Domain lower bounds near zero, beyond 2**31 and below -2**31.
+_table_lbs = st.one_of(_ints, st.integers(2**31, 2**40), st.integers(-2**40, -2**31))
+
+
+@st.composite
+def table_instances(draw):
+    """Tables of arity 1 to 3, some empty, with drawn defaults and costs up
+    to k (beyond 2**31 for the large tops); binary tables that are
+    semi-convex along a drawn axis carry the tag."""
+    k = draw(st.sampled_from([1, 9, 2**40, INFINITY]))
+    n = draw(st.integers(3, 4))
+    variables = []
+    for i in range(n):
+        lb = draw(_table_lbs)
+        variables.append(Variable(i, Domain(lb, lb + draw(st.integers(0, 3)))))
+    bounds = {v.id: (v.domain.lb, v.domain.ub) for v in variables}
+    costs = st.integers(0, k)
+    functions = []
+    for _ in range(draw(st.integers(1, 5))):
+        scope = tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, 3))])
+        cells = list(itertools.product(*(range(lo, hi + 1) for lo, hi in map(bounds.get, scope))))
+        keys = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+        kind = ExtTable(draw(costs), {key: draw(costs) for key in keys})
+        if len(scope) == 2 and draw(st.booleans()):
+            tag = (draw(st.sampled_from(scope)), draw(st.sampled_from(["asc", "desc"])))
+            fn = CostFunction(scope, kind)
+            if costfn.validate_semiconvex(fn, bounds, *tag, ValuationStructure(k))[0]:
+                kind = ExtTable(kind.default, kind.table, tag)
+        functions.append(CostFunction(scope, kind))
+    return Instance("tables", ValuationStructure(k), variables, functions)
+
+
+@given(inst=table_instances())
+def test_table_text_matches_the_per_line_formula(inst):
+    for fn in inst.functions:
+        assert fn.kind.text(fn.scope) == _ext_text_per_line(fn.kind, fn.scope)
+    assert parse_text(emit(inst)) == inst

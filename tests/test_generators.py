@@ -1,9 +1,12 @@
 import hashlib
+import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from softbounds.core import ContractError
-from softbounds.costfn import ExtTable, Spacer
+from softbounds.core import ContractError, Domain, ValuationStructure, Variable
+from softbounds.costfn import CostFunction, ExtTable, KeyPool, Spacer
 from softbounds.fileformat import emit
 from softbounds.generators import gen_random, gen_satellite, gen_spacerchain
 from softbounds.network import Instance
@@ -39,6 +42,70 @@ class TestRandom:
             gen_random(n=1, d=3, e=1)
         with pytest.raises(ContractError):
             gen_random(n=3, d=3, e=1, tightness=1.5)
+
+
+def _gen_random_per_cell(n, d, e, tightness=0.4, max_cost=4, k=10, seed=0):
+    """`gen_random` as it was written with one Python iteration per table
+    cell, drawing each cost with `randint` and pooling keys per table."""
+    rng = random.Random(seed)
+    variables = [Variable(i, Domain(0, d - 1)) for i in range(n)]
+    functions = []
+    pool = KeyPool()
+    for _ in range(e):
+        i, j = rng.sample(range(n), 2)
+        if i > j:
+            i, j = j, i
+        table = {}
+        for vi in range(d):
+            for vj in range(d):
+                if rng.random() < tightness:
+                    table[(vi, vj)] = min(k, rng.randint(1, max_cost))
+        table = pool.share(table)
+        functions.append(CostFunction(scope=(i, j), kind=ExtTable(default=0, table=table)))
+    return Instance(
+        name=f"random-n{n}-d{d}-e{e}-s{seed}",
+        valuation=ValuationStructure(k),
+        variables=variables,
+        functions=functions,
+        w_zero=0,
+    )
+
+
+class TestRandomAgainstPerCellLoop:
+    @given(
+        n=st.integers(2, 6),
+        d=st.integers(1, 6),
+        e=st.integers(0, 5),
+        tightness=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        max_cost=st.one_of(st.integers(1, 15), st.just(2**64)),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+    )
+    @example(n=2, d=1, e=3, tightness=1.0, max_cost=1, k=1, seed=0)
+    @example(n=2, d=3, e=0, tightness=0.4, max_cost=4, k=10, seed=1)
+    @example(n=3, d=4, e=4, tightness=0.0, max_cost=4, k=10, seed=2)
+    @example(n=4, d=5, e=6, tightness=1.0, max_cost=99, k=7, seed=3)
+    @example(n=5, d=6, e=5, tightness=0.5, max_cost=2**64, k=7, seed=4)
+    @example(n=3, d=6, e=5, tightness=0.9, max_cost=8, k=7, seed=5)
+    def test_same_text_and_shared_keys(self, n, d, e, tightness, max_cost, k, seed):
+        args = (n, d, e, tightness, max_cost, k, seed)
+        inst = gen_random(*args)
+        assert emit(inst) == emit(_gen_random_per_cell(*args))
+        repeats, shared = repeated_keys(inst)
+        assert shared == repeats
+
+    def test_no_key_grid_without_tables(self):
+        # d = 500 first: a grid built anyway fails there, at about 19 MB,
+        # instead of filling memory at d = 10**6.
+        for d in (500, 10**6):
+            tracemalloc.start()
+            try:
+                inst = gen_random(n=2, d=d, e=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not inst.functions
+            assert peak < 2**20, (d, peak)
 
 
 class TestSatellite:
